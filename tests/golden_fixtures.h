@@ -20,10 +20,14 @@
 #include "data/generators.h"
 #include "dataframe/aggregate.h"
 #include "dataframe/csv.h"
+#include "featsel/rifs.h"
 #include "join/geo_join.h"
 #include "join/join_executor.h"
+#include "la/linalg.h"
 #include "ml/decision_tree.h"
+#include "ml/evaluator.h"
 #include "ml/random_forest.h"
+#include "ml/sparse_regression.h"
 #include "util/check.h"
 #include "util/string_util.h"
 
@@ -264,6 +268,108 @@ inline std::string GoldenAggregateCsv(size_t partition_count = 0) {
       df::GroupByAggregate(frame, {"fid", "fcity", "ft"}, options);
   ARDA_CHECK(grouped.ok());
   return df::WriteCsvString(grouped.value());
+}
+
+/// Three-class data with d close to n for the l2,1 solver: two
+/// class-aligned features, a constant feature (an all-zero column once
+/// standardized) and noise filling out 44 columns over 48 rows.
+inline ml::Dataset GoldenWideClassificationData() {
+  Rng rng(61);
+  ml::Dataset data;
+  data.task = ml::TaskType::kClassification;
+  const size_t rows = 48, cols = 44;
+  data.x = la::Matrix(rows, cols);
+  data.y.resize(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    const double label = static_cast<double>(r % 3);
+    data.y[r] = label;
+    data.x(r, 0) = label + rng.Normal(0.0, 0.4);
+    data.x(r, 1) = (label == 2.0 ? 1.0 : -1.0) + rng.Normal(0.0, 0.6);
+    data.x(r, 2) = 3.5;
+    for (size_t c = 3; c < cols; ++c) data.x(r, c) = rng.Normal();
+  }
+  return data;
+}
+
+/// L21SparseRegression feature norms and final objective, hexfloat.
+inline std::string GoldenSparseRegression(const ml::Dataset& data) {
+  ml::SparseRegressionConfig config;
+  config.task = data.task;
+  ml::L21SparseRegression model(config);
+  model.Fit(data.x, data.y);
+  std::string out;
+  for (double v : model.FeatureNorms()) out += StrFormat("%a\n", v);
+  out += StrFormat("objective %a\n", model.final_objective());
+  return out;
+}
+
+/// Rank-deficient feature matrix for the moment-matched noise draw:
+/// d = 12 features over n = 40 rows, so the n x n covariance has rank
+/// below n and factors only after the diagonal jitter retry (the golden
+/// test asserts the unjittered factorization fails).
+inline ml::Dataset GoldenRankDeficientData() {
+  Rng rng(67);
+  ml::Dataset data;
+  data.task = ml::TaskType::kRegression;
+  const size_t rows = 40, cols = 12;
+  data.x = la::Matrix(rows, cols);
+  data.y.resize(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < cols; ++c) {
+      data.x(r, c) = rng.Normal(static_cast<double>(c % 4), 1.0);
+    }
+    data.y[r] = data.x(r, 0) + rng.Normal(0.0, 0.2);
+  }
+  return data;
+}
+
+/// Two consecutive MakeNoiseFeatures(kMomentMatched) draws from one
+/// stream (the second pins how the first leaves the Rng), hexfloat.
+inline std::string GoldenMomentMatchedNoise() {
+  ml::Dataset data = GoldenRankDeficientData();
+  Rng rng(71);
+  std::string out;
+  for (size_t draw = 0; draw < 2; ++draw) {
+    la::Matrix noise = featsel::MakeNoiseFeatures(
+        data, 7, featsel::NoiseKind::kMomentMatched, &rng);
+    for (double v : noise.data()) out += StrFormat("%a\n", v);
+    out += "end draw\n";
+  }
+  return out;
+}
+
+/// RunRifs with the default configuration on a small classification
+/// fixture: beat_noise_fraction (hexfloat) and the selected features.
+inline std::string GoldenRifsSelection(size_t num_threads) {
+  Rng data_rng(73);
+  ml::Dataset data;
+  data.task = ml::TaskType::kClassification;
+  const size_t rows = 120, signal = 3, cols = 12;
+  data.x = la::Matrix(rows, cols);
+  data.y.resize(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    const bool positive = r % 2 == 0;
+    for (size_t c = 0; c < cols; ++c) {
+      data.x(r, c) = c < signal ? data_rng.Normal(positive ? 1.0 : -1.0, 1.2)
+                                : data_rng.Normal();
+    }
+    data.y[r] = positive ? 1.0 : 0.0;
+  }
+  for (size_t c = 0; c < cols; ++c) {
+    data.feature_names.push_back("f" + std::to_string(c));
+  }
+  ml::Evaluator evaluator(data, 0.25, 7);
+  featsel::RifsConfig config;
+  config.num_threads = num_threads;
+  Rng rng(79);
+  featsel::RifsResult result =
+      featsel::RunRifs(data, evaluator, config, &rng);
+  std::string out;
+  for (double v : result.beat_noise_fraction) out += StrFormat("%a\n", v);
+  out += "selected";
+  for (size_t f : result.selected) out += StrFormat(" %zu", f);
+  out += "\n";
+  return out;
 }
 
 }  // namespace arda::golden

@@ -3,7 +3,9 @@
 // The files under tests/golden/ were serialized from the pre-rewrite
 // (PR 1) row-at-a-time kernels at fixed seeds; the pre-sorted split
 // search and the interned-key join/group-by paths must reproduce them
-// byte for byte, at 1 and at 8 threads. See tools/capture_goldens.cc for
+// byte for byte, at 1 and at 8 threads. The RIFS goldens (l2,1 solver,
+// moment-matched noise, RunRifs selection) pin the solver and sampler
+// loops the same way. See tools/capture_goldens.cc for
 // how to regenerate them (only on an intentional output change).
 
 #include <gtest/gtest.h>
@@ -78,6 +80,32 @@ TEST(GoldenKernelsTest, AggregateBitIdentical) {
   EXPECT_EQ(golden::GoldenAggregateCsv(), ReadGolden("aggregate.csv"));
 }
 
+TEST(GoldenKernelsTest, SparseRegressionRegressionBitIdentical) {
+  EXPECT_EQ(golden::GoldenSparseRegression(golden::GoldenRegressionData()),
+            ReadGolden("sparse_regression_regression.txt"));
+}
+
+TEST(GoldenKernelsTest, SparseRegressionWideClassificationBitIdentical) {
+  EXPECT_EQ(golden::GoldenSparseRegression(
+                golden::GoldenWideClassificationData()),
+            ReadGolden("sparse_regression_classification.txt"));
+}
+
+TEST(GoldenKernelsTest, MomentMatchedNoiseBitIdentical) {
+  // The fixture must exercise the jitter retry: its raw covariance is
+  // rank-deficient and does not factor.
+  ml::Dataset data = golden::GoldenRankDeficientData();
+  la::FeatureMoments moments = la::ComputeFeatureMoments(data.x);
+  EXPECT_FALSE(la::Cholesky(moments.covariance).ok());
+  EXPECT_EQ(golden::GoldenMomentMatchedNoise(),
+            ReadGolden("moment_matched_noise.txt"));
+}
+
+TEST(GoldenKernelsTest, RifsSelectionBitIdentical) {
+  EXPECT_EQ(golden::GoldenRifsSelection(1), ReadGolden("rifs_selection.txt"));
+  EXPECT_EQ(golden::GoldenRifsSelection(4), ReadGolden("rifs_selection.txt"));
+}
+
 // Every golden must reproduce at every SIMD dispatch level: the vector
 // kernels are bit-identical to their scalar fallbacks by contract (see
 // DESIGN.md "SIMD dispatch"). The avx2 pass is skipped when the CPU lacks
@@ -109,6 +137,15 @@ TEST(GoldenKernelsTest, GoldensAreSimdLevelInvariant) {
               ReadGolden("forest_predictions.txt"));
     EXPECT_EQ(golden::GoldenForestPredictions(8),
               ReadGolden("forest_predictions.txt"));
+    EXPECT_EQ(golden::GoldenSparseRegression(golden::GoldenRegressionData()),
+              ReadGolden("sparse_regression_regression.txt"));
+    EXPECT_EQ(golden::GoldenSparseRegression(
+                  golden::GoldenWideClassificationData()),
+              ReadGolden("sparse_regression_classification.txt"));
+    EXPECT_EQ(golden::GoldenMomentMatchedNoise(),
+              ReadGolden("moment_matched_noise.txt"));
+    EXPECT_EQ(golden::GoldenRifsSelection(1),
+              ReadGolden("rifs_selection.txt"));
   }
   simd::SetLevel(prev);
 }

@@ -4,8 +4,11 @@
 // The fixtures pin the exact bit-level outputs of the decision-tree and
 // join/group-by kernels at fixed seeds. They were generated from the
 // pre-rewrite (PR 1) row-at-a-time kernels; the columnar kernels must
-// reproduce them byte for byte. Re-run this tool ONLY when an intentional
-// output change is being made, and say so in the PR.
+// reproduce them byte for byte. The RIFS fixtures (l2,1 solver, moment-
+// matched noise draw, RunRifs selection) were captured from the solver
+// and sampler that refit Algorithm 2 every round and recomputed X*W on
+// every evaluation. Re-run this tool ONLY when an intentional output
+// change is being made, and say so in the PR.
 
 #include <cstdio>
 #include <string>
@@ -13,6 +16,7 @@
 #include "data/generators.h"
 #include "dataframe/aggregate.h"
 #include "dataframe/csv.h"
+#include "featsel/rifs.h"
 #include "join/geo_join.h"
 #include "join/join_executor.h"
 #include "ml/decision_tree.h"
@@ -51,5 +55,13 @@ int main(int argc, char** argv) {
   WriteFile(dir, "join_soft.csv", golden::GoldenSoftJoinCsv());
   WriteFile(dir, "join_geo.csv", golden::GoldenGeoJoinCsv());
   WriteFile(dir, "aggregate.csv", golden::GoldenAggregateCsv());
+  WriteFile(dir, "sparse_regression_regression.txt",
+            golden::GoldenSparseRegression(golden::GoldenRegressionData()));
+  WriteFile(dir, "sparse_regression_classification.txt",
+            golden::GoldenSparseRegression(
+                golden::GoldenWideClassificationData()));
+  WriteFile(dir, "moment_matched_noise.txt",
+            golden::GoldenMomentMatchedNoise());
+  WriteFile(dir, "rifs_selection.txt", golden::GoldenRifsSelection(1));
   return 0;
 }
