@@ -28,63 +28,83 @@ const char* NoiseKindName(NoiseKind kind) {
   return "unknown";
 }
 
+namespace {
+
+// The injected-noise distribution of one RIFS call. For kMomentMatched it
+// is Algorithm 2's N(mu, Sigma), fitted once here (moments and covariance
+// factor); Draw only samples from it, so a round costs O(n^2 t) instead
+// of refitting at O(n^2 d + n^3).
+class NoiseSource {
+ public:
+  NoiseSource(const ml::Dataset& data, NoiseKind kind)
+      : rows_(data.NumRows()), kind_(kind) {
+    if (kind == NoiseKind::kMomentMatched) {
+      moments_ = la::ComputeFeatureMoments(data.x);
+    }
+  }
+
+  la::Matrix Draw(size_t count, Rng* rng, bool permute_moment_noise) const {
+    const size_t n = rows_;
+    la::Matrix noise(n, count);
+    switch (kind_) {
+      case NoiseKind::kMomentMatched: {
+        noise = la::SampleMultivariateNormal(moments_, count, rng);
+        if (permute_moment_noise) {
+          // Break target alignment while keeping each column's value
+          // distribution (see RifsConfig::permute_moment_noise).
+          std::vector<size_t> order(n);
+          for (size_t c = 0; c < count; ++c) {
+            for (size_t r = 0; r < n; ++r) order[r] = r;
+            rng->Shuffle(&order);
+            for (size_t r = 0; r < n; ++r) {
+              std::swap(noise(r, c), noise(order[r], c));
+            }
+          }
+        }
+        return noise;
+      }
+      case NoiseKind::kGaussian:
+        for (size_t r = 0; r < n; ++r) {
+          for (size_t c = 0; c < count; ++c) noise(r, c) = rng->Normal();
+        }
+        return noise;
+      case NoiseKind::kUniform:
+        for (size_t r = 0; r < n; ++r) {
+          for (size_t c = 0; c < count; ++c) {
+            noise(r, c) = rng->UniformDouble();
+          }
+        }
+        return noise;
+      case NoiseKind::kBernoulli:
+        for (size_t r = 0; r < n; ++r) {
+          for (size_t c = 0; c < count; ++c) {
+            noise(r, c) = rng->Bernoulli(0.5) ? 1.0 : 0.0;
+          }
+        }
+        return noise;
+      case NoiseKind::kPoisson:
+        for (size_t r = 0; r < n; ++r) {
+          for (size_t c = 0; c < count; ++c) {
+            noise(r, c) = static_cast<double>(rng->Poisson(1.0));
+          }
+        }
+        return noise;
+    }
+    return noise;
+  }
+
+ private:
+  size_t rows_;
+  NoiseKind kind_;
+  la::FeatureMoments moments_;  // fitted only for kMomentMatched
+};
+
+}  // namespace
+
 la::Matrix MakeNoiseFeatures(const ml::Dataset& data, size_t count,
                              NoiseKind kind, Rng* rng,
                              bool permute_moment_noise) {
-  const size_t n = data.NumRows();
-  la::Matrix noise(n, count);
-  switch (kind) {
-    case NoiseKind::kMomentMatched: {
-      // Algorithm 2: fit N(mu, Sigma) to the empirical feature moments
-      // (each feature is an observation in R^n) and sample i.i.d. columns.
-      la::FeatureMoments moments = la::ComputeFeatureMoments(data.x);
-      la::Matrix samples =
-          la::SampleMultivariateNormal(moments, count, rng);
-      for (size_t r = 0; r < n; ++r) {
-        for (size_t c = 0; c < count; ++c) noise(r, c) = samples(r, c);
-      }
-      if (permute_moment_noise) {
-        // Break target alignment while keeping each column's value
-        // distribution (see RifsConfig::permute_moment_noise).
-        std::vector<size_t> order(n);
-        for (size_t c = 0; c < count; ++c) {
-          for (size_t r = 0; r < n; ++r) order[r] = r;
-          rng->Shuffle(&order);
-          for (size_t r = 0; r < n; ++r) {
-            double tmp = noise(r, c);
-            noise(r, c) = noise(order[r], c);
-            noise(order[r], c) = tmp;
-          }
-        }
-      }
-      return noise;
-    }
-    case NoiseKind::kGaussian:
-      for (size_t r = 0; r < n; ++r) {
-        for (size_t c = 0; c < count; ++c) noise(r, c) = rng->Normal();
-      }
-      return noise;
-    case NoiseKind::kUniform:
-      for (size_t r = 0; r < n; ++r) {
-        for (size_t c = 0; c < count; ++c) noise(r, c) = rng->UniformDouble();
-      }
-      return noise;
-    case NoiseKind::kBernoulli:
-      for (size_t r = 0; r < n; ++r) {
-        for (size_t c = 0; c < count; ++c) {
-          noise(r, c) = rng->Bernoulli(0.5) ? 1.0 : 0.0;
-        }
-      }
-      return noise;
-    case NoiseKind::kPoisson:
-      for (size_t r = 0; r < n; ++r) {
-        for (size_t c = 0; c < count; ++c) {
-          noise(r, c) = static_cast<double>(rng->Poisson(1.0));
-        }
-      }
-      return noise;
-  }
-  return noise;
+  return NoiseSource(data, kind).Draw(count, rng, permute_moment_noise);
 }
 
 RifsResult RunRifs(const ml::Dataset& data, const ml::Evaluator& evaluator,
@@ -113,10 +133,14 @@ RifsResult RunRifs(const ml::Dataset& data, const ml::Evaluator& evaluator,
   std::vector<la::Matrix> round_noise;
   round_noise.reserve(config.num_rounds);
   std::vector<uint64_t> forest_seeds(config.num_rounds, 0);
-  for (size_t round = 0; round < config.num_rounds; ++round) {
-    round_noise.push_back(MakeNoiseFeatures(data, t, config.noise, rng,
-                                            config.permute_moment_noise));
-    if (use_forest) forest_seeds[round] = rng->NextUint64();
+  {
+    trace::StageScope scope("rifs.noise");
+    const NoiseSource noise(data, config.noise);  // Algorithm 2, fit once
+    for (size_t round = 0; round < config.num_rounds; ++round) {
+      round_noise.push_back(
+          noise.Draw(t, rng, config.permute_moment_noise));
+      if (use_forest) forest_seeds[round] = rng->NextUint64();
+    }
   }
 
   // The aggregate is over percentile *ranks*, not raw scores: raw
@@ -169,6 +193,7 @@ RifsResult RunRifs(const ml::Dataset& data, const ml::Evaluator& evaluator,
       for (size_t j = 0; j < d + t; ++j) aggregate[j] += config.nu * rf[j];
     }
     if (use_sparse) {
+      trace::StageScope scope("rifs.rank_sparse");
       std::vector<double> sr =
           percentile_ranks(sparse_ranker.Rank(augmented, nullptr));
       for (size_t j = 0; j < d + t; ++j) {
@@ -208,6 +233,7 @@ RifsResult RunRifs(const ml::Dataset& data, const ml::Evaluator& evaluator,
 
   // Algorithm 3: sweep thresholds in increasing order while the holdout
   // score increases monotonically; keep the best subset seen.
+  trace::StageScope sweep_scope("rifs.threshold_sweep");
   std::vector<double> thresholds = config.thresholds;
   std::sort(thresholds.begin(), thresholds.end());
   double prev_score = -1e300;

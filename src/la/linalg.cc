@@ -1,5 +1,6 @@
 #include "la/linalg.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/fault.h"
@@ -143,67 +144,86 @@ FeatureMoments ComputeFeatureMoments(const Matrix& x) {
   FeatureMoments moments;
   moments.mean.assign(n, 0.0);
   moments.covariance = Matrix(n, n);
-  if (d == 0) return moments;
-  for (size_t r = 0; r < n; ++r) {
-    const double* row = x.RowPtr(r);
-    double sum = 0.0;
-    for (size_t c = 0; c < d; ++c) sum += row[c];
-    moments.mean[r] = sum / static_cast<double>(d);
-  }
-  for (size_t c = 0; c < d; ++c) {
-    // Accumulate (col - mu)(col - mu)^T.
+  if (d > 0) {
+    for (size_t r = 0; r < n; ++r) {
+      const double* row = x.RowPtr(r);
+      double sum = 0.0;
+      for (size_t c = 0; c < d; ++c) sum += row[c];
+      moments.mean[r] = sum / static_cast<double>(d);
+    }
+    // Centered observations, one contiguous row per feature, so the upper
+    // triangle of sum_c (x_c - mu)(x_c - mu)^T accumulates as one axpy
+    // per (row i, feature c), vectorized over j. Each entry still sums
+    // its terms in feature order.
+    Matrix centered(d, n);
+    for (size_t r = 0; r < n; ++r) {
+      const double* row = x.RowPtr(r);
+      for (size_t c = 0; c < d; ++c) centered(c, r) = row[c] - moments.mean[r];
+    }
     for (size_t i = 0; i < n; ++i) {
-      const double di = x(i, c) - moments.mean[i];
-      if (di == 0.0) continue;
       double* crow = moments.covariance.RowPtr(i);
+      for (size_t c = 0; c < d; ++c) {
+        const double* obs = centered.RowPtr(c);
+        const double di = obs[i];
+        if (di == 0.0) continue;
+        for (size_t j = i; j < n; ++j) crow[j] += di * obs[j];
+      }
+    }
+    const double inv_d = 1.0 / static_cast<double>(d);
+    for (size_t i = 0; i < n; ++i) {
       for (size_t j = i; j < n; ++j) {
-        crow[j] += di * (x(j, c) - moments.mean[j]);
+        moments.covariance(i, j) *= inv_d;
+        moments.covariance(j, i) = moments.covariance(i, j);
       }
     }
   }
-  const double inv_d = 1.0 / static_cast<double>(d);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i; j < n; ++j) {
-      moments.covariance(i, j) *= inv_d;
-      moments.covariance(j, i) = moments.covariance(i, j);
-    }
-  }
+  FactorCovariance(&moments);
   return moments;
+}
+
+void FactorCovariance(FeatureMoments* moments) {
+  Matrix sigma = moments->covariance;
+  double jitter = 1e-8;
+  Result<Matrix> chol = Cholesky(sigma);
+  for (int attempt = 0; attempt < 6 && !chol.ok(); ++attempt) {
+    for (size_t i = 0; i < sigma.rows(); ++i) sigma(i, i) += jitter;
+    jitter *= 10.0;
+    chol = Cholesky(sigma);
+  }
+  moments->factor = chol.ok() ? std::move(chol).value() : Matrix();
 }
 
 Matrix SampleMultivariateNormal(const FeatureMoments& moments, size_t count,
                                 Rng* rng) {
   const size_t n = moments.mean.size();
   Matrix samples(n, count);  // each *column* is one sampled feature vector
-  Matrix sigma = moments.covariance;
-  // Jitter the diagonal until Cholesky succeeds (bounded retries).
-  double jitter = 1e-8;
-  Result<Matrix> chol = Cholesky(sigma);
-  for (int attempt = 0; attempt < 6 && !chol.ok(); ++attempt) {
-    for (size_t i = 0; i < n; ++i) sigma(i, i) += jitter;
-    jitter *= 10.0;
-    chol = Cholesky(sigma);
-  }
-  if (chol.ok()) {
-    const Matrix& l = chol.value();
-    std::vector<double> z(n);
+  if (moments.factor.empty()) {
+    // Independent normals matching each coordinate's variance.
     for (size_t s = 0; s < count; ++s) {
-      for (size_t i = 0; i < n; ++i) z[i] = rng->Normal();
       for (size_t i = 0; i < n; ++i) {
-        double sum = moments.mean[i];
-        const double* lrow = l.RowPtr(i);
-        for (size_t k = 0; k <= i; ++k) sum += lrow[k] * z[k];
-        samples(i, s) = sum;
+        const double var = moments.covariance(i, i);
+        const double sd = var > 0.0 ? std::sqrt(var) : 1.0;
+        samples(i, s) = rng->Normal(moments.mean[i], sd);
       }
     }
     return samples;
   }
-  // Diagonal fallback: independent normals matching per-coordinate variance.
+  ARDA_CHECK_EQ(moments.factor.rows(), n);
+  // z(i, s) is coordinate i of sample s, drawn sample by sample. Row i of
+  // the result is then mu_i + sum_{k <= i} L(i, k) z(k, .): one axpy per
+  // k, vectorized over the samples, each sum in increasing k.
+  Matrix z(n, count);
   for (size_t s = 0; s < count; ++s) {
-    for (size_t i = 0; i < n; ++i) {
-      double var = moments.covariance(i, i);
-      double sd = var > 0.0 ? std::sqrt(var) : 1.0;
-      samples(i, s) = rng->Normal(moments.mean[i], sd);
+    for (size_t i = 0; i < n; ++i) z(i, s) = rng->Normal();
+  }
+  for (size_t i = 0; i < n; ++i) {
+    double* out = samples.RowPtr(i);
+    std::fill(out, out + count, moments.mean[i]);
+    const double* lrow = moments.factor.RowPtr(i);
+    for (size_t k = 0; k <= i; ++k) {
+      const double lik = lrow[k];
+      const double* zrow = z.RowPtr(k);
+      for (size_t s = 0; s < count; ++s) out[s] += lik * zrow[s];
     }
   }
   return samples;

@@ -49,21 +49,36 @@ ColumnStats ComputeColumnStats(const Matrix& x);
 /// Returns a copy of `x` with each column z-scored using `stats`.
 Matrix Standardize(const Matrix& x, const ColumnStats& stats);
 
-/// Covariance matrix of the *columns* of `x` treated as observations of
-/// row-dimension vectors; this is the d-observation estimate RIFS uses
-/// (Algorithm 2 of the paper): mu = mean over columns, Sigma =
+/// The multivariate normal N(mu, Sigma) RIFS draws moment-matched noise
+/// from (Algorithm 2 of the paper). The *columns* of `x` are the
+/// observations of row-dimension vectors: mu = mean over columns, Sigma =
 /// 1/d sum_i (x_i - mu)(x_i - mu)^T where x_i is the i-th column.
 struct FeatureMoments {
   std::vector<double> mean;  // length = rows of x
   Matrix covariance;         // rows x rows
+  /// Lower-triangular Cholesky factor of `covariance` with the smallest
+  /// diagonal jitter added that lets it factor (see FactorCovariance);
+  /// empty when even the largest jitter failed, and sampling then draws
+  /// independent per-coordinate normals instead.
+  Matrix factor;
 };
 
-/// Computes the empirical feature moments used by RIFS noise injection.
+/// Fits Algorithm 2 to `x`: the empirical feature moments plus the
+/// covariance factor (FactorCovariance). This is the whole per-call cost
+/// of moment-matched noise; SampleMultivariateNormal only draws.
 FeatureMoments ComputeFeatureMoments(const Matrix& x);
 
-/// Samples `count` vectors from N(mu, Sigma) using a jittered Cholesky
-/// factor of Sigma; each sample has mu.size() entries. Falls back to
-/// diagonal sampling if Sigma is numerically singular even after jitter.
+/// Sets `moments->factor` from `moments->covariance`. A covariance of
+/// rank below its size (fewer features than rows) rarely factors as is,
+/// so the diagonal is jittered by 1e-8, then 1e-7 more, and so on for up
+/// to six retries. The only place the covariance is factored.
+void FactorCovariance(FeatureMoments* moments);
+
+/// Samples `count` vectors from N(mu, Sigma) as mu + factor * z with z
+/// standard normal; each sample is one column of the result and has
+/// mu.size() entries. With an empty factor every coordinate is drawn
+/// independently with its own variance. Consumes `rng` sample by sample,
+/// coordinate by coordinate.
 Matrix SampleMultivariateNormal(const FeatureMoments& moments, size_t count,
                                 Rng* rng);
 

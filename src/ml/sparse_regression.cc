@@ -12,15 +12,36 @@ L21SparseRegression::L21SparseRegression(const SparseRegressionConfig& config)
   ARDA_CHECK_GE(config.gamma, 0.0);
 }
 
+namespace {
+
+// One evaluation of the smoothed objective
+//   sum_i sqrt(||r_i||^2 + eps) + gamma sum_f sqrt(||w_f||^2 + eps)
+// at some W, with what the gradient at that W reuses.
+struct Evaluation {
+  la::Matrix residual;              // c x n: row j is output j's X W - Y
+  std::vector<double> row_scale;    // 1 / sqrt(||r_i||^2 + eps)
+  std::vector<double> weight_norm;  // sqrt(||w_f||^2 + eps)
+  double objective = 0.0;
+};
+
+}  // namespace
+
+// Layout: W, its gradient and the residual are stored transposed (one row
+// per output), so every inner loop runs over rows or features with
+// independent accumulators and vectorizes. Summation order is fixed per
+// accumulator, whatever the loop nest: features in order for X W, rows in
+// order for X^T diag(s) R, outputs in order for the norms, rows then
+// features for the objective. golden_kernels_test pins the resulting bits.
 void L21SparseRegression::Fit(const la::Matrix& x,
                               const std::vector<double>& y) {
   ARDA_CHECK_EQ(x.rows(), y.size());
   const size_t n = x.rows();
   const size_t d = x.cols();
   stats_ = la::ComputeColumnStats(x);
-  la::Matrix xs = la::Standardize(x, stats_);
+  const la::Matrix xs = la::Standardize(x, stats_);  // rows, for X^T R
+  const la::Matrix xt = xs.Transposed();  // one row per feature, for X W
 
-  // Build the target matrix Y (n x c) and per-output offsets.
+  // Build the centered target matrix Y^T (c x n) and per-output offsets.
   size_t c;
   la::Matrix targets;
   if (config_.task == TaskType::kClassification) {
@@ -28,101 +49,120 @@ void L21SparseRegression::Fit(const la::Matrix& x,
     for (double v : y) max_label = std::max(max_label, v);
     num_classes_ = static_cast<size_t>(std::lround(max_label)) + 1;
     c = num_classes_;
-    targets = la::Matrix(n, c);
+    targets = la::Matrix(c, n);
     for (size_t i = 0; i < n; ++i) {
-      targets(i, static_cast<size_t>(std::lround(y[i]))) = 1.0;
+      targets(static_cast<size_t>(std::lround(y[i])), i) = 1.0;
     }
   } else {
     num_classes_ = 0;
     c = 1;
-    targets = la::Matrix(n, 1);
-    for (size_t i = 0; i < n; ++i) targets(i, 0) = y[i];
+    targets = la::Matrix(1, n, y);
   }
   output_offsets_.assign(c, 0.0);
   for (size_t j = 0; j < c; ++j) {
+    double* t = targets.RowPtr(j);
     double mean = 0.0;
-    for (size_t i = 0; i < n; ++i) mean += targets(i, j);
+    for (size_t i = 0; i < n; ++i) mean += t[i];
     mean /= static_cast<double>(n);
     output_offsets_[j] = mean;
-    for (size_t i = 0; i < n; ++i) targets(i, j) -= mean;
+    for (size_t i = 0; i < n; ++i) t[i] -= mean;
   }
 
-  w_ = la::Matrix(d, c);
   const double eps = config_.epsilon;
-
-  // Smoothed objective sum_i sqrt(||r_i||^2 + eps) + gamma sum_j
-  // sqrt(||w_j||^2 + eps), optionally with its gradient.
-  la::Matrix residual(n, c);
-  auto evaluate = [&](const la::Matrix& w, la::Matrix* grad) {
-    residual = xs.Multiply(w);
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j < c; ++j) residual(i, j) -= targets(i, j);
-    }
-    double objective = 0.0;
-    std::vector<double> row_scale(n);
-    for (size_t i = 0; i < n; ++i) {
-      double norm_sq = eps;
-      const double* row = residual.RowPtr(i);
-      for (size_t j = 0; j < c; ++j) norm_sq += row[j] * row[j];
-      double norm = std::sqrt(norm_sq);
-      objective += norm;
-      row_scale[i] = 1.0 / norm;
-    }
-    if (grad != nullptr) {
-      // grad = X^T diag(row_scale) residual + gamma * row-normalized W.
-      for (size_t fi = 0; fi < d; ++fi) {
-        for (size_t j = 0; j < c; ++j) (*grad)(fi, j) = 0.0;
+  const double gamma = config_.gamma;
+  auto evaluate = [&](const la::Matrix& wt, Evaluation* e) {
+    // Residual X W - Y: one axpy per (feature, output) over the rows.
+    e->residual = la::Matrix(c, n);
+    for (size_t fi = 0; fi < d; ++fi) {
+      const double* col = xt.RowPtr(fi);
+      for (size_t j = 0; j < c; ++j) {
+        const double w = wt(j, fi);
+        double* r = e->residual.RowPtr(j);
+        for (size_t i = 0; i < n; ++i) r[i] += col[i] * w;
       }
+    }
+    std::vector<double>& norm = e->row_scale;
+    norm.assign(n, eps);
+    for (size_t j = 0; j < c; ++j) {
+      double* r = e->residual.RowPtr(j);
+      const double* t = targets.RowPtr(j);
       for (size_t i = 0; i < n; ++i) {
-        const double* xrow = xs.RowPtr(i);
-        const double* rrow = residual.RowPtr(i);
-        const double scale = row_scale[i];
-        for (size_t fi = 0; fi < d; ++fi) {
-          const double xv = xrow[fi] * scale;
-          if (xv == 0.0) continue;
-          double* grow = grad->RowPtr(fi);
-          for (size_t j = 0; j < c; ++j) grow[j] += xv * rrow[j];
-        }
+        r[i] -= t[i];
+        norm[i] += r[i] * r[i];
       }
+    }
+    for (size_t i = 0; i < n; ++i) norm[i] = std::sqrt(norm[i]);
+    double objective = 0.0;
+    for (size_t i = 0; i < n; ++i) objective += norm[i];
+    for (size_t i = 0; i < n; ++i) norm[i] = 1.0 / norm[i];
+    e->weight_norm.assign(d, eps);
+    for (size_t j = 0; j < c; ++j) {
+      const double* w = wt.RowPtr(j);
+      for (size_t fi = 0; fi < d; ++fi) e->weight_norm[fi] += w[fi] * w[fi];
     }
     for (size_t fi = 0; fi < d; ++fi) {
-      double norm_sq = eps;
-      const double* wrow = w.RowPtr(fi);
-      for (size_t j = 0; j < c; ++j) norm_sq += wrow[j] * wrow[j];
-      double norm = std::sqrt(norm_sq);
-      objective += config_.gamma * norm;
-      if (grad != nullptr) {
-        const double scale = config_.gamma / norm;
-        double* grow = grad->RowPtr(fi);
-        for (size_t j = 0; j < c; ++j) grow[j] += scale * wrow[j];
-      }
+      e->weight_norm[fi] = std::sqrt(e->weight_norm[fi]);
     }
-    return objective;
+    for (size_t fi = 0; fi < d; ++fi) objective += gamma * e->weight_norm[fi];
+    e->objective = objective;
   };
 
-  // Gradient descent with backtracking line search: halve the step until
-  // the objective decreases, gently grow it after accepted steps. This
-  // keeps the per-iteration cost linear in nnz(X) while converging far
-  // more reliably than a fixed schedule on the non-smooth l2,1 terms.
-  la::Matrix grad(d, c);
-  la::Matrix candidate(d, c);
+  // grad = X^T diag(row_scale) R + gamma * W / ||w_f||, from the
+  // evaluation at `wt`. Row terms are (x_if * s_i) * r_ij, added in row
+  // order; a row whose residual norm is infinite (s_i == 0) adds nothing.
+  std::vector<double> scaled_row(d);
+  auto gradient = [&](const la::Matrix& wt, const Evaluation& e,
+                      la::Matrix* grad) {
+    *grad = la::Matrix(c, d);
+    for (size_t i = 0; i < n; ++i) {
+      const double s = e.row_scale[i];
+      if (s == 0.0) continue;
+      const double* xrow = xs.RowPtr(i);
+      for (size_t fi = 0; fi < d; ++fi) scaled_row[fi] = xrow[fi] * s;
+      for (size_t j = 0; j < c; ++j) {
+        const double r = e.residual(j, i);
+        double* g = grad->RowPtr(j);
+        for (size_t fi = 0; fi < d; ++fi) g[fi] += scaled_row[fi] * r;
+      }
+    }
+    for (size_t j = 0; j < c; ++j) {
+      const double* w = wt.RowPtr(j);
+      double* g = grad->RowPtr(j);
+      for (size_t fi = 0; fi < d; ++fi) {
+        g[fi] += (gamma / e.weight_norm[fi]) * w[fi];
+      }
+    }
+  };
+
+  // Smoothed gradient descent with a backtracking line search: halve the
+  // step until the objective does not increase, grow it by 1.25 after
+  // each accepted step. The accepted trial's evaluation is the next
+  // iterate's, so each iteration costs one gradient plus its trials.
+  la::Matrix wt(c, d);
+  la::Matrix grad;
+  la::Matrix candidate(c, d);
+  Evaluation current;
+  Evaluation trial;
   double lr = config_.learning_rate;
-  double objective = evaluate(w_, &grad);
-  final_objective_ = objective;
+  evaluate(wt, &current);
+  double objective = current.objective;
+  gradient(wt, current, &grad);
   for (size_t iter = 0; iter < config_.max_iters; ++iter) {
     bool accepted = false;
     for (int attempt = 0; attempt < 20; ++attempt) {
-      for (size_t fi = 0; fi < d; ++fi) {
-        const double* wrow = w_.RowPtr(fi);
-        const double* grow = grad.RowPtr(fi);
-        double* crow = candidate.RowPtr(fi);
-        for (size_t j = 0; j < c; ++j) crow[j] = wrow[j] - lr * grow[j];
+      for (size_t j = 0; j < c; ++j) {
+        const double* w = wt.RowPtr(j);
+        const double* g = grad.RowPtr(j);
+        double* cand = candidate.RowPtr(j);
+        for (size_t fi = 0; fi < d; ++fi) cand[fi] = w[fi] - lr * g[fi];
       }
-      double new_objective = evaluate(candidate, nullptr);
+      evaluate(candidate, &trial);
+      const double new_objective = trial.objective;
       if (new_objective <= objective) {
         bool converged = objective - new_objective <
                          config_.tolerance * std::max(1.0, objective);
-        std::swap(w_, candidate);
+        std::swap(wt, candidate);
+        std::swap(current, trial);
         objective = new_objective;
         lr = std::min(lr * 1.25, 1e3);
         accepted = true;
@@ -133,11 +173,10 @@ void L21SparseRegression::Fit(const la::Matrix& x,
       if (lr < 1e-12) break;
     }
     if (!accepted) break;
-    if (iter < config_.max_iters) {
-      objective = evaluate(w_, &grad);
-    }
+    if (iter + 1 < config_.max_iters) gradient(wt, current, &grad);
   }
   final_objective_ = objective;
+  w_ = wt.Transposed();
 }
 
 std::vector<double> L21SparseRegression::Predict(const la::Matrix& x) const {

@@ -15,6 +15,7 @@ struct SparseRegressionConfig {
   /// Row-sparsity penalty gamma.
   double gamma = 0.1;
   size_t max_iters = 300;
+  /// Initial step of the backtracking line search.
   double learning_rate = 0.05;
   /// Smoothing epsilon for the non-differentiable l2 norms.
   double epsilon = 1e-6;
@@ -25,8 +26,13 @@ struct SparseRegressionConfig {
 /// Solver for the paper's sparse-regression ranking objective. The
 /// l2,1-norm over rows of W drives entire features to zero jointly across
 /// outputs, so the per-feature row norms give a noise-robust feature
-/// ranking (Section 6.2). Optimized with smoothed gradient descent and a
-/// diminishing step size on standardized features.
+/// ranking (Section 6.2). Optimized on standardized features by gradient
+/// descent on the smoothed objective (each l2 norm becomes
+/// sqrt(||.||^2 + epsilon)) with a backtracking line search: the step
+/// halves until the objective does not increase and grows by 1.25 after
+/// each accepted step. Stops at `max_iters`, at a relative decrease below
+/// `tolerance`, or when the line search finds no acceptable step (20
+/// halvings, or a step below 1e-12).
 ///
 /// For regression Y has one column (the centered target); for
 /// classification Y is the one-hot label matrix, and Predict returns the

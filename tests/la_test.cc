@@ -225,6 +225,7 @@ TEST(SampleMultivariateNormalTest, MatchesMoments) {
   FeatureMoments moments;
   moments.mean = {1.0, -1.0};
   moments.covariance = Matrix(2, 2, std::vector<double>{2.0, 0.8, 0.8, 1.0});
+  FactorCovariance(&moments);
   Rng rng(8);
   Matrix samples = SampleMultivariateNormal(moments, 20000, &rng);
   ASSERT_EQ(samples.rows(), 2u);
@@ -239,6 +240,63 @@ TEST(SampleMultivariateNormalTest, MatchesMoments) {
   }
   cov /= static_cast<double>(samples.cols());
   EXPECT_NEAR(cov, 0.8, 0.08);
+}
+
+TEST(FeatureMomentsTest, CovarianceSumsInFeatureOrder) {
+  // Each covariance entry is sum_c (x_ic - mu_i)(x_jc - mu_j) / d with
+  // the terms added in feature order; pinned exactly, not approximately.
+  Rng rng(21);
+  Matrix x(7, 5);
+  for (size_t r = 0; r < x.rows(); ++r) {
+    for (size_t c = 0; c < x.cols(); ++c) x(r, c) = rng.Normal(1.0, 3.0);
+  }
+  for (size_t c = 0; c < x.cols(); ++c) x(2, c) = 4.0;  // centered to 0
+  FeatureMoments m = ComputeFeatureMoments(x);
+  const double inv_d = 1.0 / static_cast<double>(x.cols());
+  for (size_t i = 0; i < x.rows(); ++i) {
+    for (size_t j = 0; j < x.rows(); ++j) {
+      const size_t lo = std::min(i, j), hi = std::max(i, j);
+      double sum = 0.0;
+      for (size_t c = 0; c < x.cols(); ++c) {
+        sum += (x(lo, c) - m.mean[lo]) * (x(hi, c) - m.mean[hi]);
+      }
+      EXPECT_EQ(m.covariance(i, j), sum * inv_d) << i << "," << j;
+    }
+  }
+}
+
+TEST(FeatureMomentsTest, RankDeficientCovarianceFactorsAfterJitter) {
+  // 6 rows, 3 features: the 6 x 6 covariance has rank <= 2.
+  Rng rng(22);
+  Matrix x(6, 3);
+  for (size_t r = 0; r < x.rows(); ++r) {
+    for (size_t c = 0; c < x.cols(); ++c) x(r, c) = rng.Normal();
+  }
+  FeatureMoments m = ComputeFeatureMoments(x);
+  EXPECT_FALSE(Cholesky(m.covariance).ok());
+  ASSERT_EQ(m.factor.rows(), 6u);
+  ASSERT_EQ(m.factor.cols(), 6u);
+  // L L^T reproduces the covariance up to the (tiny) diagonal jitter.
+  for (size_t i = 0; i < 6; ++i) {
+    for (size_t j = 0; j < 6; ++j) {
+      double llt = 0.0;
+      for (size_t k = 0; k < 6; ++k) llt += m.factor(i, k) * m.factor(j, k);
+      EXPECT_NEAR(llt, m.covariance(i, j), 1e-5);
+    }
+  }
+}
+
+TEST(FeatureMomentsTest, IndefiniteCovarianceLeavesFactorEmpty) {
+  FeatureMoments moments;
+  moments.mean = {0.0, 0.0};
+  moments.covariance = Matrix(2, 2, std::vector<double>{1.0, 0.0, 0.0, -1.0});
+  FactorCovariance(&moments);
+  EXPECT_TRUE(moments.factor.empty());
+  // Sampling falls back to independent per-coordinate normals.
+  Rng rng(23);
+  Matrix samples = SampleMultivariateNormal(moments, 50, &rng);
+  EXPECT_EQ(samples.rows(), 2u);
+  EXPECT_EQ(samples.cols(), 50u);
 }
 
 TEST(SampleMultivariateNormalTest, SingularCovarianceFallsBack) {

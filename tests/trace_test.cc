@@ -17,6 +17,7 @@
 
 #include "core/arda.h"
 #include "core/report_io.h"
+#include "data/generators.h"
 #include "util/metrics.h"
 #include "util/string_util.h"
 #include "util/trace.h"
@@ -523,6 +524,48 @@ TEST(TraceTest, StageScopeFeedsStageHistogram) {
   EXPECT_TRUE(found);
   // Tracing was disabled: the scope's span must not have recorded.
   EXPECT_EQ(trace::EventCount(), 0u);
+}
+
+TEST(TraceTest, RifsRunRecordsItsStagesWithoutChangingTheReport) {
+  TraceGuard guard;
+  data::Scenario scenario =
+      data::MakePovertyScenario(13, data::ScenarioScale::kSmall);
+  core::ArdaConfig config;
+  config.seed = 33;
+  config.rifs.num_rounds = 3;
+  config.num_threads = 2;
+
+  metrics::GlobalRegistry().ResetForTest();
+  Result<core::ArdaReport> plain = core::Arda(config).Run(scenario.MakeTask());
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  std::map<std::string, uint64_t> stage_counts;
+  for (const metrics::HistogramSnapshot& h :
+       metrics::GlobalRegistry().Snapshot().histograms) {
+    stage_counts[h.name] = h.count;
+  }
+  // Noise and the sweep run once per RunRifs call, sparse ranking once
+  // per round of each call.
+  const uint64_t noise = stage_counts["stage.rifs.noise"];
+  EXPECT_GT(noise, 0u);
+  EXPECT_EQ(stage_counts["stage.rifs.threshold_sweep"], noise);
+  EXPECT_EQ(stage_counts["stage.rifs.rank_sparse"],
+            noise * config.rifs.num_rounds);
+
+  trace::Enable();
+  Result<core::ArdaReport> traced = core::Arda(config).Run(scenario.MakeTask());
+  trace::Disable();
+  ASSERT_TRUE(traced.ok()) << traced.status().ToString();
+  std::set<std::string> span_names;
+  for (const JsonValue& event : ParsedTraceEvents()) {
+    const JsonValue* name = event.Find("name");
+    if (name != nullptr) span_names.insert(name->str);
+  }
+  for (const char* stage :
+       {"rifs.noise", "rifs.rank_sparse", "rifs.threshold_sweep"}) {
+    EXPECT_EQ(span_names.count(stage), 1u) << stage;
+  }
+  EXPECT_EQ(core::DeterministicReportJson(*plain),
+            core::DeterministicReportJson(*traced));
 }
 
 // ---------------------------------------------------------------------
