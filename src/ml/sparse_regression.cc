@@ -145,7 +145,6 @@ void L21SparseRegression::Fit(const la::Matrix& x,
   Evaluation trial;
   double lr = config_.learning_rate;
   evaluate(wt, &current);
-  double objective = current.objective;
   gradient(wt, current, &grad);
   for (size_t iter = 0; iter < config_.max_iters; ++iter) {
     bool accepted = false;
@@ -157,13 +156,12 @@ void L21SparseRegression::Fit(const la::Matrix& x,
         for (size_t fi = 0; fi < d; ++fi) cand[fi] = w[fi] - lr * g[fi];
       }
       evaluate(candidate, &trial);
-      const double new_objective = trial.objective;
-      if (new_objective <= objective) {
-        bool converged = objective - new_objective <
-                         config_.tolerance * std::max(1.0, objective);
+      if (trial.objective <= current.objective) {
+        const bool converged =
+            current.objective - trial.objective <
+            config_.tolerance * std::max(1.0, current.objective);
         std::swap(wt, candidate);
         std::swap(current, trial);
-        objective = new_objective;
         lr = std::min(lr * 1.25, 1e3);
         accepted = true;
         if (converged) iter = config_.max_iters;  // stop outer loop
@@ -175,7 +173,7 @@ void L21SparseRegression::Fit(const la::Matrix& x,
     if (!accepted) break;
     if (iter + 1 < config_.max_iters) gradient(wt, current, &grad);
   }
-  final_objective_ = objective;
+  final_objective_ = current.objective;
   w_ = wt.Transposed();
 }
 
