@@ -153,8 +153,8 @@ FeatureMoments ComputeFeatureMoments(const Matrix& x) {
     }
     // Centered observations, one contiguous row per feature, so the upper
     // triangle of sum_c (x_c - mu)(x_c - mu)^T accumulates as one axpy
-    // per (row i, feature c), vectorized over j. Each entry still sums
-    // its terms in feature order.
+    // per (row i, feature c), vectorized over j. Each entry sums its
+    // terms in feature order.
     Matrix centered(d, n);
     for (size_t r = 0; r < n; ++r) {
       const double* row = x.RowPtr(r);
