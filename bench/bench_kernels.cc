@@ -29,7 +29,6 @@
 #include "dataframe/aggregate.h"
 #include "dataframe/columnar_io.h"
 #include "dataframe/csv.h"
-#include "dataframe/key_encoder.h"
 #include "dataframe/mapped_columnar.h"
 #include "discovery/discovery.h"
 #include "discovery/repository.h"
@@ -406,19 +405,12 @@ std::vector<KernelResult> RunAll(const BenchOptions& options, bool smoke) {
   // --- Scalar-vs-SIMD dispatch pairs: the same workload pinned to each
   // dispatch level (<name>_scalar / <name>_avx2). Checksums must match
   // bit for bit — the pair is also a determinism check — and the
-  // --assert-simd-floor flag (the perfsmoke lane) requires >=2x on >=3 of
-  // the 5 pairs. The _avx2 rows are omitted on machines without AVX2. ---
+  // --assert-simd-floor flag (the perfsmoke lane) requires >=2x on every
+  // pair. The _avx2 rows are omitted on machines without AVX2. ---
   {
     struct LevelRestore {
-      // SetLevel pins the probe level too, so save and restore both —
-      // otherwise the pair sweep would erase the auto policy's
-      // probe=scalar exception for the rest of the run.
       simd::SimdLevel prev = simd::ActiveLevel();
-      simd::SimdLevel prev_probe = simd::ProbeLevel();
-      ~LevelRestore() {
-        simd::SetLevel(prev);
-        simd::SetProbeLevel(prev_probe);
-      }
+      ~LevelRestore() { simd::SetLevel(prev); }
     } restore;
     auto measure_pair = [&](const std::string& name, size_t items,
                             const std::function<uint64_t()>& fn) {
@@ -437,66 +429,7 @@ std::vector<KernelResult> RunAll(const BenchOptions& options, bool smoke) {
       return b;
     };
 
-    // Kernel 1: composite-key batch hash + home-slot probe (ProbeAll on
-    // two int64 key columns, the native-dictionary fast path).
-    {
-      const size_t rows = smoke ? 20000 : 200000;
-      auto make_keys = [&](uint64_t seed) {
-        Rng rng(seed);
-        std::vector<int64_t> a(rows), b(rows);
-        for (size_t i = 0; i < rows; ++i) {
-          a[i] = static_cast<int64_t>(rng.UniformUint64(rows / 2));
-          b[i] = static_cast<int64_t>(rng.UniformUint64(97));
-        }
-        df::DataFrame t;
-        ARDA_CHECK(t.AddColumn(df::Column::Int64("a", std::move(a))).ok());
-        ARDA_CHECK(t.AddColumn(df::Column::Int64("b", std::move(b))).ok());
-        return t;
-      };
-      df::DataFrame build = make_keys(1101);
-      df::DataFrame probe = make_keys(2202);
-      df::KeyEncoder encoder(build, std::vector<std::string>{"a", "b"});
-      const std::vector<size_t> col_idx = {0, 1};
-      std::vector<uint64_t> gids(rows);
-      measure_pair("simd_hash_probe", rows, [&]() -> uint64_t {
-        encoder.ProbeAll(probe, col_idx, gids.data());
-        uint64_t h = 1469598103934665603ULL;
-        for (uint64_t g : gids) h = (h ^ g) * 1099511628211ULL;
-        return h;
-      });
-    }
-
-    // Kernel 2: CSR group-by bucketing (count + prefix sum + scatter).
-    {
-      const size_t n = smoke ? 200000 : 2000000;
-      const size_t groups = 1024;
-      Rng rng(3303);
-      std::vector<uint64_t> gids(n);
-      std::vector<uint8_t> valid(n);
-      std::vector<double> values(n);
-      for (size_t i = 0; i < n; ++i) {
-        gids[i] = rng.UniformUint64(groups);
-        valid[i] = rng.UniformUint64(20) != 0 ? 1 : 0;
-        values[i] = rng.Normal();
-      }
-      std::vector<size_t> offsets(groups + 1);
-      std::vector<size_t> cursor(groups);
-      std::vector<double> out(n);
-      measure_pair("simd_groupby_scatter", n, [&]() -> uint64_t {
-        std::fill(offsets.begin(), offsets.end(), size_t{0});
-        simd::CountPerGroup(gids.data(), valid.data(), n,
-                            offsets.data() + 1);
-        for (size_t g = 0; g < groups; ++g) offsets[g + 1] += offsets[g];
-        std::copy(offsets.begin(), offsets.end() - 1, cursor.begin());
-        simd::ScatterByGroup(values.data(), valid.data(), gids.data(), n,
-                             cursor.data(), out.data());
-        uint64_t h = offsets[groups];
-        for (size_t i = 0; i < offsets[groups]; ++i) h ^= bits_of(out[i]) + i;
-        return h;
-      });
-    }
-
-    // Kernel 3: split-search gather + class-square scan (the decision
+    // Split-search gather + class-square scan (the decision
     // tree's presorted classification inner loops). The scan calls
     // ClassSquares once per row — with continuous features every value is
     // a distinct candidate threshold, so that is the dense shape
@@ -541,7 +474,7 @@ std::vector<KernelResult> RunAll(const BenchOptions& options, bool smoke) {
       });
     }
 
-    // Kernel 4: squared Euclidean distance — the KNN Predict shape: each
+    // Squared Euclidean distance — the KNN Predict shape: each
     // query is scored against the whole row-major training matrix with
     // the batch kernel (geo joins hit the single-pair kernel at 2-3
     // dims). The training set is KNN-sized (1024 x 64 = 512 KiB), so the
@@ -574,8 +507,7 @@ std::vector<KernelResult> RunAll(const BenchOptions& options, bool smoke) {
                    });
     }
 
-    // Kernel 5: bulk little-endian numeric decode + null-bitmap expansion
-    // (the .ardac columnar read path).
+    // Bulk little-endian numeric decode (the .ardac columnar read path).
     {
       const size_t n = smoke ? 400000 : 2000000;
       Rng rng(6606);
@@ -585,17 +517,11 @@ std::vector<KernelResult> RunAll(const BenchOptions& options, bool smoke) {
         double v = rng.Normal();
         std::memcpy(src.data() + i * 8, &v, 8);
       }
-      std::vector<uint8_t> bitmap((n + 7) / 8);
-      for (uint8_t& b : bitmap) {
-        b = static_cast<uint8_t>(rng.UniformUint64(256));
-      }
       std::vector<double> dst(n);
-      std::vector<uint8_t> valid(n);
       measure_pair("simd_decode", n, [&]() -> uint64_t {
         simd::DecodeU64LeToDouble(src.data(), n, dst.data());
-        simd::ExpandValidityBitmap(bitmap.data(), n, valid.data());
         uint64_t h = 0;
-        for (size_t i = 0; i < n; i += 97) h ^= bits_of(dst[i]) + valid[i];
+        for (size_t i = 0; i < n; i += 97) h ^= bits_of(dst[i]) + i;
         return h;
       });
     }
@@ -605,14 +531,12 @@ std::vector<KernelResult> RunAll(const BenchOptions& options, bool smoke) {
 }
 
 // Names of the scalar-vs-SIMD pairs checked by --assert-simd-floor.
-constexpr const char* kSimdPairs[] = {
-    "simd_hash_probe", "simd_groupby_scatter", "simd_split_scan",
-    "simd_distance", "simd_decode"};
+constexpr const char* kSimdPairs[] = {"simd_split_scan", "simd_distance",
+                                      "simd_decode"};
 
-// Returns false (after printing per-pair speedups) when fewer than
-// `min_pairs` of the kSimdPairs hit `floor` on this machine.
-bool CheckSimdFloor(const std::vector<KernelResult>& results, double floor,
-                    size_t min_pairs) {
+// Returns false (after printing per-pair speedups) unless every one of
+// the kSimdPairs reaches `floor` on this machine.
+bool CheckSimdFloor(const std::vector<KernelResult>& results, double floor) {
   auto seconds_of = [&](const std::string& name) -> double {
     for (const KernelResult& r : results) {
       if (r.name == name) return r.seconds;
@@ -620,8 +544,8 @@ bool CheckSimdFloor(const std::vector<KernelResult>& results, double floor,
     return -1.0;
   };
   size_t met = 0;
-  std::fprintf(stderr, "simd floor check (>=%.1fx on >=%zu of %zu pairs):\n",
-               floor, min_pairs, std::size(kSimdPairs));
+  std::fprintf(stderr, "simd floor check (>=%.1fx on all %zu pairs):\n",
+               floor, std::size(kSimdPairs));
   for (const char* pair : kSimdPairs) {
     double scalar = seconds_of(std::string(pair) + "_scalar");
     double avx2 = seconds_of(std::string(pair) + "_avx2");
@@ -636,7 +560,7 @@ bool CheckSimdFloor(const std::vector<KernelResult>& results, double floor,
   }
   std::fprintf(stderr, "  -> %zu of %zu pairs at the floor\n", met,
                std::size(kSimdPairs));
-  return met >= min_pairs;
+  return met == std::size(kSimdPairs);
 }
 
 // Evicts `path` from the page cache (fsync + POSIX_FADV_DONTNEED) so the
@@ -875,8 +799,8 @@ int main(int argc, char** argv) {
     // overhead (tools/run_bench.sh --trace-overhead diffs on vs. off) and
     // doubles as a determinism check since checksums must not move.
     if (std::string(argv[i]) == "--trace") tracing = true;
-    // Fails (exit 1) unless >=3 of the 5 scalar-vs-SIMD pairs reach 2x;
-    // no-op on machines without AVX2 (there is nothing to compare).
+    // Fails (exit 1) unless all 3 scalar-vs-SIMD pairs reach 2x; no-op
+    // on machines without AVX2 (there is nothing to compare).
     if (std::string(argv[i]) == "--assert-simd-floor") {
       assert_simd_floor = true;
     }
@@ -902,7 +826,7 @@ int main(int argc, char** argv) {
                    "simd floor check skipped: AVX2 unsupported here\n");
       return 0;
     }
-    if (!CheckSimdFloor(results, 2.0, 3)) {
+    if (!CheckSimdFloor(results, 2.0)) {
       std::fprintf(stderr, "simd floor check FAILED\n");
       return 1;
     }

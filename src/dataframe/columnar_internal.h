@@ -65,8 +65,12 @@ Result<Column> DecodeV3StringColumn(std::string_view block,
                                     std::string_view validity,
                                     std::string name, size_t rows);
 
-/// The format's FNV-1a (same function that checksums v1/v2 payloads).
-uint64_t ColumnarFnv1a64(std::string_view data);
+/// Decodes a v3 numeric data block (`block` = exactly the column's
+/// validity.size() * 8 little-endian bytes, already validated by
+/// ParseV3Index) into an owned double or int64 column named `name`.
+Column DecodeV3NumericColumn(std::string_view block,
+                             std::string_view validity, std::string name,
+                             DataType type);
 
 }  // namespace arda::df::internal
 

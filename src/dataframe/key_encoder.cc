@@ -232,6 +232,34 @@ void KeyEncoder::Build(const DataFrame& frame,
   }
 }
 
+uint32_t KeyEncoder::ColumnDict::FindInt(int64_t value) const {
+  const size_t slot = FindSlot(
+      table.hashes, table.ids, Mix64(static_cast<uint64_t>(value)),
+      [&](uint32_t id) { return int_values[id - 1] == value; });
+  return table.ids[slot];
+}
+
+uint32_t KeyEncoder::ColumnDict::FindString(std::string_view value) const {
+  const size_t slot =
+      FindSlot(table.hashes, table.ids, HashString(value),
+               [&](uint32_t id) { return str_values[id - 1] == value; });
+  return table.ids[slot];
+}
+
+uint64_t KeyEncoder::FindGroup(uint64_t hash, const uint32_t* ids,
+                               size_t stride) const {
+  const size_t num_cols = dicts_.size();
+  const size_t slot =
+      FindSlot(groups_.hashes, groups_.ids, hash, [&](uint32_t gid) {
+        const uint32_t* stored = tuple_store_.data() + size_t{gid} * num_cols;
+        for (size_t k = 0; k < num_cols; ++k) {
+          if (stored[k] != ids[k * stride]) return false;
+        }
+        return true;
+      });
+  return groups_.ids[slot] == FlatTable::kEmpty ? kMiss : groups_.ids[slot];
+}
+
 uint64_t KeyEncoder::Probe(const DataFrame& frame,
                            const std::vector<size_t>& col_idx,
                            size_t row) const {
@@ -252,37 +280,15 @@ uint64_t KeyEncoder::Probe(const DataFrame& frame,
       ids[k] = 0;
       continue;
     }
-    if (dict.mode == Mode::kInt64) {
-      int64_t v = col.Int64At(row);
-      uint64_t h = Mix64(static_cast<uint64_t>(v));
-      size_t slot =
-          FindSlot(dict.table.hashes, dict.table.ids, h, [&](uint32_t id) {
-            return dict.int_values[id - 1] == v;
-          });
-      if (dict.table.ids[slot] == FlatTable::kEmpty) return kMiss;
-      ids[k] = dict.table.ids[slot];
-    } else {
-      std::string_view sv =
-          RenderValue(col, row, dict.probe_granularity, buf, sizeof(buf));
-      uint64_t h = HashString(sv);
-      size_t slot =
-          FindSlot(dict.table.hashes, dict.table.ids, h, [&](uint32_t id) {
-            return dict.str_values[id - 1] == sv;
-          });
-      if (dict.table.ids[slot] == FlatTable::kEmpty) return kMiss;
-      ids[k] = dict.table.ids[slot];
-    }
+    const uint32_t id =
+        dict.mode == Mode::kInt64
+            ? dict.FindInt(col.Int64At(row))
+            : dict.FindString(RenderValue(col, row, dict.probe_granularity,
+                                          buf, sizeof(buf)));
+    if (id == FlatTable::kEmpty) return kMiss;
+    ids[k] = id;
   }
-  uint64_t h = HashTuple(ids, num_cols);
-  size_t slot = FindSlot(groups_.hashes, groups_.ids, h, [&](uint32_t gid) {
-    const uint32_t* stored = tuple_store_.data() + gid * num_cols;
-    for (size_t k = 0; k < num_cols; ++k) {
-      if (stored[k] != ids[k]) return false;
-    }
-    return true;
-  });
-  if (groups_.ids[slot] == FlatTable::kEmpty) return kMiss;
-  return groups_.ids[slot];
+  return FindGroup(HashTuple(ids, num_cols), ids, 1);
 }
 
 uint64_t KeyEncoder::Probe(const DataFrame& frame,
@@ -300,89 +306,44 @@ void KeyEncoder::ProbeAll(const DataFrame& frame,
   if (n == 0) return;
 
   // Column-major value ids (ids[k * n + r]), the layout TupleHashBatch
-  // and GroupLookup consume with contiguous vector loads.
+  // reads with contiguous vector loads. Nulls keep id 0.
   std::vector<uint32_t> ids(num_cols * n, 0);
   // A row whose value misses any column dictionary can never match a
   // group; flagged here and forced to kMiss at the end (Probe returns
   // early instead, which a batch cannot).
   std::vector<uint8_t> miss(n, 0);
-  std::vector<uint32_t> walk(n);
-  std::vector<uint32_t> col_ids(n);
+  auto record = [&](uint32_t* col_ids, size_t r, uint32_t id) {
+    if (id == FlatTable::kEmpty) {
+      miss[r] = 1;
+    } else {
+      col_ids[r] = id;
+    }
+  };
   char buf[64];
   for (size_t k = 0; k < num_cols; ++k) {
     const Column& col = frame.col(col_idx[k]);
     const ColumnDict& dict = dicts_[k];
-    uint32_t* out_ids = ids.data() + k * n;
+    const uint8_t* valid = col.ValidityData();
+    uint32_t* col_ids = ids.data() + k * n;
     if (dict.mode == Mode::kInt64) {
-      // Null slots hold the dense placeholder 0; the kernel looks them up
-      // like any key and the validity pass below overrides the result.
-      const int64_t* keys = col.Int64Data();
-      const size_t walk_count = simd::Int64DictLookup(
-          dict.table.hashes.data(), dict.table.ids.data(),
-          dict.int_values.data(), dict.table.hashes.size() - 1, keys, n,
-          col_ids.data(), walk.data());
-      for (size_t w = 0; w < walk_count; ++w) {
-        const uint32_t r = walk[w];
-        const int64_t v = keys[r];
-        const uint64_t h = Mix64(static_cast<uint64_t>(v));
-        const size_t slot =
-            FindSlot(dict.table.hashes, dict.table.ids, h,
-                     [&](uint32_t id) { return dict.int_values[id - 1] == v; });
-        col_ids[r] = dict.table.ids[slot];
-      }
-      const uint8_t* valid = col.ValidityData();
+      const int64_t* values = col.Int64Data();
       for (size_t r = 0; r < n; ++r) {
-        if (valid[r] == 0) {
-          out_ids[r] = 0;
-        } else if (col_ids[r] == FlatTable::kEmpty) {
-          miss[r] = 1;
-        } else {
-          out_ids[r] = col_ids[r];
-        }
+        if (valid[r] != 0) record(col_ids, r, dict.FindInt(values[r]));
       }
     } else {
       for (size_t r = 0; r < n; ++r) {
-        if (col.IsNull(r)) {
-          out_ids[r] = 0;
-          continue;
-        }
-        std::string_view sv =
-            RenderValue(col, r, dict.probe_granularity, buf, sizeof(buf));
-        uint64_t h = HashString(sv);
-        size_t slot =
-            FindSlot(dict.table.hashes, dict.table.ids, h, [&](uint32_t id) {
-              return dict.str_values[id - 1] == sv;
-            });
-        if (dict.table.ids[slot] == FlatTable::kEmpty) {
-          miss[r] = 1;
-        } else {
-          out_ids[r] = dict.table.ids[slot];
-        }
+        if (valid[r] == 0) continue;
+        record(col_ids, r,
+               dict.FindString(RenderValue(col, r, dict.probe_granularity,
+                                           buf, sizeof(buf))));
       }
     }
   }
 
   std::vector<uint64_t> hashes(n);
   simd::TupleHashBatch(ids.data(), num_cols, n, n, hashes.data());
-  const size_t walk_count = simd::GroupLookup(
-      groups_.hashes.data(), groups_.ids.data(), tuple_store_.data(),
-      ids.data(), num_cols, n, groups_.hashes.size() - 1, hashes.data(), n,
-      out, walk.data());
-  for (size_t w = 0; w < walk_count; ++w) {
-    const uint32_t r = walk[w];
-    const size_t slot =
-        FindSlot(groups_.hashes, groups_.ids, hashes[r], [&](uint32_t gid) {
-          const uint32_t* stored = tuple_store_.data() + gid * num_cols;
-          for (size_t k = 0; k < num_cols; ++k) {
-            if (stored[k] != ids[k * n + r]) return false;
-          }
-          return true;
-        });
-    out[r] =
-        groups_.ids[slot] == FlatTable::kEmpty ? kMiss : groups_.ids[slot];
-  }
   for (size_t r = 0; r < n; ++r) {
-    if (miss[r]) out[r] = kMiss;
+    out[r] = miss[r] ? kMiss : FindGroup(hashes[r], ids.data() + r, n);
   }
 }
 

@@ -61,8 +61,8 @@ class KeyEncoder {
   size_t num_rows() const { return row_group_.size(); }
   /// Dense group id of build row r, in first-occurrence order.
   uint64_t GroupOf(size_t row) const { return row_group_[row]; }
-  /// All build-row group ids as a dense array (the SIMD group-by kernels
-  /// index this directly instead of calling GroupOf per row).
+  /// All build-row group ids as a dense array (GroupByAggregate indexes
+  /// this directly instead of calling GroupOf per row).
   const std::vector<uint64_t>& row_groups() const { return row_group_; }
   /// First build row of each group (the hash-join keep-first rule).
   const std::vector<size_t>& group_first_row() const {
@@ -83,10 +83,9 @@ class KeyEncoder {
 
   /// Batch Probe over every row of `frame[col_idx]`: out[r] receives the
   /// group id of row r, or kMiss. Identical results to calling Probe per
-  /// row (pinned by the golden join outputs); the batch form routes the
-  /// native-int64 dictionary lookups and the composite hash+home-slot
-  /// probe through the arda_simd kernels, with only collision walks and
-  /// rendered-string columns handled row-at-a-time.
+  /// row (pinned by the golden join outputs): every lookup is the same
+  /// FindSlot walk, and only the tuple hashes are computed column-wise
+  /// (simd::TupleHashBatch).
   void ProbeAll(const DataFrame& frame, const std::vector<size_t>& col_idx,
                 uint64_t* out) const;
 
@@ -114,10 +113,19 @@ class KeyEncoder {
     /// to verify table candidates exactly.
     std::vector<int64_t> int_values;
     std::vector<std::string> str_values;
+
+    /// Id of an interned value, or FlatTable::kEmpty when the build side
+    /// never saw it.
+    uint32_t FindInt(int64_t value) const;
+    uint32_t FindString(std::string_view value) const;
   };
 
   void Build(const DataFrame& frame, const std::vector<size_t>& col_idx,
              const Options& options);
+  /// Group id of the value-id tuple ids[0], ids[stride], ...,
+  /// ids[(num_cols - 1) * stride] whose tuple hash is `hash`, or kMiss.
+  uint64_t FindGroup(uint64_t hash, const uint32_t* ids,
+                     size_t stride) const;
 
   std::vector<ColumnDict> dicts_;
   /// Flat key tuples, dicts_.size() ids per group, in group-id order.

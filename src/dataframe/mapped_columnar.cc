@@ -5,10 +5,8 @@
 #include <memory>
 #include <string_view>
 #include <utility>
-#include <vector>
 
 #include "dataframe/columnar_internal.h"
-#include "simd/simd.h"
 #include "util/fault.h"
 #include "util/metrics.h"
 #include "util/string_util.h"
@@ -46,9 +44,7 @@ struct Mapping {
 
 }  // namespace
 
-Result<DataFrame> MapColumnar(const std::string& path, ColumnarMeta* meta,
-                              bool* unsupported_version) {
-  if (unsupported_version != nullptr) *unsupported_version = false;
+Result<DataFrame> MapColumnar(const std::string& path, ColumnarMeta* meta) {
   if (meta != nullptr) *meta = ColumnarMeta{};
   ARDA_FAULT_POINT(fault::kColumnarMap);
   trace::StageScope scope("ingest/columnar_map");
@@ -93,63 +89,34 @@ Result<DataFrame> MapColumnar(const std::string& path, ColumnarMeta* meta,
   const char* base = static_cast<const char*>(addr);
   std::string_view data(base, static_cast<size_t>(file_size));
 
-  // A well-formed v1/v2 file is not an error of the *file* — it predates
-  // the index this reader needs. Flag it so the loader falls through to
-  // the eager reader without recording a cache fallback.
-  if (data.substr(0, 4) == "ARDC") {
-    uint32_t version = 0;
-    for (int i = 0; i < 4; ++i) {
-      version |= static_cast<uint32_t>(
-                     static_cast<unsigned char>(data[4 + i]))
-                 << (8 * i);
-    }
-    if (version >= 1 && version < 3) {
-      if (unsupported_version != nullptr) *unsupported_version = true;
-      return Status::FailedPrecondition(
-          StrFormat("columnar file is version %u; mapped open needs the "
-                    "version-3 column index",
-                    version));
-    }
-  }
-
   internal::V3Index index;
   ARDA_RETURN_IF_ERROR(internal::ParseV3Index(data, file_size, &index));
   const size_t rows = static_cast<size_t>(index.rows);
 
   DataFrame frame;
   for (const internal::V3Column& entry : index.columns) {
-    const uint8_t* validity =
-        reinterpret_cast<const uint8_t*>(base + entry.validity_off);
     Column col = Column::Empty(entry.name, entry.type);
     switch (entry.type) {
       case DataType::kDouble:
-        if constexpr (std::endian::native == std::endian::little) {
-          col = Column::BorrowedDouble(
-              entry.name,
-              reinterpret_cast<const double*>(base + entry.data_off),
-              validity, rows, mapping);
-        } else {
-          std::vector<double> decoded(rows);
-          simd::DecodeU64LeToDouble(base + entry.data_off, rows,
-                                    decoded.data());
-          col = Column::Double(entry.name, std::move(decoded));
-          col.SetValidity(
-              std::vector<uint8_t>(validity, validity + rows));
-        }
-        break;
       case DataType::kInt64:
         if constexpr (std::endian::native == std::endian::little) {
-          col = Column::BorrowedInt64(
-              entry.name,
-              reinterpret_cast<const int64_t*>(base + entry.data_off),
-              validity, rows, mapping);
+          const char* values = base + entry.data_off;
+          const uint8_t* validity =
+              reinterpret_cast<const uint8_t*>(base + entry.validity_off);
+          col = entry.type == DataType::kDouble
+                    ? Column::BorrowedDouble(
+                          entry.name,
+                          reinterpret_cast<const double*>(values), validity,
+                          rows, mapping)
+                    : Column::BorrowedInt64(
+                          entry.name,
+                          reinterpret_cast<const int64_t*>(values),
+                          validity, rows, mapping);
         } else {
-          std::vector<int64_t> decoded(rows);
-          simd::DecodeU64LeToInt64(base + entry.data_off, rows,
-                                   decoded.data());
-          col = Column::Int64(entry.name, std::move(decoded));
-          col.SetValidity(
-              std::vector<uint8_t>(validity, validity + rows));
+          col = internal::DecodeV3NumericColumn(
+              data.substr(entry.data_off, entry.data_len),
+              data.substr(entry.validity_off, rows), entry.name,
+              entry.type);
         }
         break;
       case DataType::kString:
@@ -176,9 +143,7 @@ Result<DataFrame> MapColumnar(const std::string& path, ColumnarMeta* meta,
 
 #else  // !ARDA_HAVE_MMAP
 
-Result<DataFrame> MapColumnar(const std::string& path, ColumnarMeta* meta,
-                              bool* unsupported_version) {
-  if (unsupported_version != nullptr) *unsupported_version = false;
+Result<DataFrame> MapColumnar(const std::string& path, ColumnarMeta* meta) {
   if (meta != nullptr) *meta = ColumnarMeta{};
   (void)path;
   return Status::FailedPrecondition(

@@ -8,9 +8,9 @@
 #include "util/status.h"
 
 /// \file
-/// Mmap-backed open of `.ardac` version-3 files. Instead of slurping the
-/// whole table into owned vectors (ReadColumnar), MapColumnar maps the
-/// file read-only (`MAP_PRIVATE`) and hands out a DataFrame whose numeric
+/// Mmap-backed open of `.ardac` files. Instead of slurping the whole
+/// table into owned vectors (ReadColumnar), MapColumnar maps the file
+/// read-only (`MAP_PRIVATE`) and hands out a DataFrame whose numeric
 /// columns *borrow* their validity and value blocks straight out of the
 /// mapping (Column::BorrowedDouble/BorrowedInt64). Pages fault in lazily
 /// on first touch, so a repository holding many cached tables costs
@@ -24,9 +24,13 @@
 /// whole-payload checksum (validating it would fault in every page and
 /// defeat laziness); a file whose payload bytes were corrupted in place
 /// can therefore produce wrong values, but never out-of-bounds access.
-/// Eager ReadColumnar keeps full checksum validation; cache rewrites go
-/// through WriteColumnar's temp-file + rename, so a live mapping keeps
-/// its old inode and stays readable.
+/// Eager ReadColumnar keeps full checksum validation.
+///
+/// Contract with writers: our writer replaces a cache file only by
+/// write-then-rename (WriteColumnar's temp file + rename), so a live
+/// mapping keeps its old inode and stays readable. A file that another
+/// writer truncates *in place* while it is mapped can still raise SIGBUS
+/// on the next page fault past the new end; that use is unsupported.
 ///
 /// The mapping's lifetime is tied to the returned columns via a shared
 /// owner: copies of the frame share it, and munmap happens only when the
@@ -34,18 +38,15 @@
 
 namespace arda::df {
 
-/// Maps `path` (a `.ardac` version-3 file) and returns a DataFrame whose
-/// numeric columns borrow the mapping zero-copy; string columns and the
-/// meta block decode eagerly. On a version-1/2 file fails with
-/// FailedPrecondition and sets `*unsupported_version` to true (when
-/// non-null) so callers can fall back to the eager reader without
-/// recording a cache fallback. Any other failure (missing file, mmap
-/// error, truncation, index corruption) leaves it false. Carries the
+/// Maps `path` (a `.ardac` file) and returns a DataFrame whose numeric
+/// columns borrow the mapping zero-copy; string columns and the meta
+/// block decode eagerly. Fails with the same Status codes as
+/// ReadColumnarString for a damaged or version-skewed file, and with
+/// IoError when the file cannot be opened or mapped. Carries the
 /// `fault::kColumnarMap` injection site. On non-POSIX builds always
 /// fails with FailedPrecondition.
 Result<DataFrame> MapColumnar(const std::string& path,
-                              ColumnarMeta* meta = nullptr,
-                              bool* unsupported_version = nullptr);
+                              ColumnarMeta* meta = nullptr);
 
 }  // namespace arda::df
 

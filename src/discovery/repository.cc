@@ -14,22 +14,6 @@ namespace fs = std::filesystem;
 
 namespace {
 
-// mtime-based freshness, the only signal available for fingerprint-less
-// version-1 cache files. Equal timestamps count as stale: a CSV rewritten
-// within the filesystem's mtime granularity ends up with the same mtime
-// as the cache written just before it, and serving the cache then would
-// silently return the old table. The cost of the strict comparison is one
-// spurious re-parse when cache and CSV genuinely tied; version-2 caches
-// avoid the problem entirely with a content fingerprint.
-bool CacheIsFreshByMtime(const fs::path& cache, const fs::path& csv) {
-  std::error_code ec;
-  fs::file_time_type cache_time = fs::last_write_time(cache, ec);
-  if (ec) return false;
-  fs::file_time_type csv_time = fs::last_write_time(csv, ec);
-  if (ec) return false;
-  return cache_time > csv_time;
-}
-
 // Reads a whole file into a string (the CSV bytes double as parser input
 // and as the content fingerprint for cache freshness).
 Result<std::string> ReadFileBytes(const std::string& path) {
@@ -95,34 +79,17 @@ Status DataRepository::LoadDirectory(const std::string& data_dir,
     std::error_code exists_ec;
     if (!cache_path.empty() && fs::exists(cache_path, exists_ec)) {
       df::ColumnarMeta meta;
-      Result<df::DataFrame> cached = [&]() -> Result<df::DataFrame> {
-        if (options.map_cache) {
-          bool unsupported_version = false;
-          Result<df::DataFrame> mapped = df::MapColumnar(
-              cache_path.string(), &meta, &unsupported_version);
-          // A version-1/2 cache predates the mmap-able column index:
-          // serve it eagerly with no fallback recorded (it migrates to
-          // v3 whenever the CSV changes and the rewrite below runs). Any
-          // *failed* map falls through the normal degradation path.
-          if (mapped.ok() || !unsupported_version) return mapped;
-        }
-        return df::ReadColumnar(cache_path.string(), &meta);
-      }();
+      Result<df::DataFrame> cached =
+          options.map_cache ? df::MapColumnar(cache_path.string(), &meta)
+                            : df::ReadColumnar(cache_path.string(), &meta);
       if (cached.ok()) {
         // Freshness: the recorded source fingerprint must match the CSV
-        // bytes on disk. Fingerprint-less (version-1) caches degrade to
-        // the mtime comparison, which cannot detect a same-mtime rewrite.
-        const bool has_fingerprint =
-            meta.source_size != 0 || meta.source_hash != 0;
-        const bool fresh =
-            has_fingerprint
-                ? (meta.source_size == bytes->size() &&
-                   meta.source_hash == source_hash)
-                : CacheIsFreshByMtime(cache_path, csv_path);
-        if (fresh) {
+        // bytes on disk. Every cache this loader writes carries one, and
+        // even an empty CSV hashes to a non-zero value, so a cache without
+        // a fingerprint never matches and is rewritten below.
+        if (meta.source_size == bytes->size() &&
+            meta.source_hash == source_hash) {
           AddOrReplace(stem, std::move(cached).value());
-          // Persisted stats ride along with the cache hit; caches without
-          // them (version 1) leave Stats() to recompute on demand.
           if (!meta.stats.Empty()) SetStats(stem, std::move(meta.stats));
           ++stats->tables_loaded;
           ++stats->cache_hits;

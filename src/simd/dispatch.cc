@@ -31,34 +31,19 @@ SimdLevel HighestSupported() {
   return Avx2Supported() ? SimdLevel::kAvx2 : SimdLevel::kScalar;
 }
 
-// The bulk level plus the probe-kernel level resolved together. Under
-// `auto` (or an unset/unrecognized spec) the bulk kernels get the highest
-// supported level but the open-addressing probes stay scalar: the
-// home-slot probe is load-latency-bound and out-of-order scalar loads
-// beat AVX2 gathers there (bench_kernels `simd_hash_probe` measured ~0.8x
-// for AVX2 — docs/benchmarks.md). An explicit `scalar`/`avx2` pins every
-// kernel, probes included.
-struct ResolvedLevels {
-  SimdLevel level;
-  SimdLevel probe;
-};
-
-ResolvedLevels ResolveFromEnv() {
+SimdLevel ResolveFromEnv() {
   const char* env = std::getenv("ARDA_SIMD");
-  if (env != nullptr && *env != '\0') {
-    const std::string_view spec(env);
-    if (spec == "scalar") return {SimdLevel::kScalar, SimdLevel::kScalar};
-    if (spec == "avx2" && Avx2Supported()) {
-      return {SimdLevel::kAvx2, SimdLevel::kAvx2};
-    }
-    // "avx2" on a machine without AVX2 (and anything unrecognized)
-    // degrades to the auto policy instead of crashing on an illegal
-    // instruction; --simd= reports unknown specs as errors.
+  if (env != nullptr && std::string_view(env) == "scalar") {
+    return SimdLevel::kScalar;
   }
-  return {HighestSupported(), SimdLevel::kScalar};
+  // "auto", "avx2" and anything unrecognized resolve to the highest
+  // supported level: "avx2" on a machine without AVX2 degrades instead of
+  // crashing on an illegal instruction, and --simd= reports unknown specs
+  // as errors.
+  return HighestSupported();
 }
 
-// The dispatch levels. ARDA_SIMD is consulted exactly once per process —
+// The dispatch level. ARDA_SIMD is consulted exactly once per process —
 // by the explicit InitFromEnvironment() call in main(), or lazily on the
 // first kernel dispatch for library embedders that never call it. Either
 // way the read happens through one std::once_flag, so no worker thread
@@ -66,27 +51,18 @@ ResolvedLevels ResolveFromEnv() {
 // later environment changes are deliberately invisible (the level is
 // process-wide, not per-request; see docs/observability.md).
 std::atomic<int> g_level{static_cast<int>(SimdLevel::kScalar)};
-std::atomic<int> g_probe_level{static_cast<int>(SimdLevel::kScalar)};
 std::once_flag g_env_once;
 
 void InitFromEnvOnce() {
   std::call_once(g_env_once, [] {
-    const ResolvedLevels resolved = ResolveFromEnv();
-    g_level.store(static_cast<int>(resolved.level),
+    g_level.store(static_cast<int>(ResolveFromEnv()),
                   std::memory_order_relaxed);
-    g_probe_level.store(static_cast<int>(resolved.probe),
-                        std::memory_order_relaxed);
   });
 }
 
 std::atomic<int>& LevelStorage() {
   InitFromEnvOnce();
   return g_level;
-}
-
-std::atomic<int>& ProbeStorage() {
-  InitFromEnvOnce();
-  return g_probe_level;
 }
 
 }  // namespace
@@ -123,48 +99,21 @@ bool SetLevel(SimdLevel level) {
   if (level == SimdLevel::kAvx2 && !Avx2Supported()) return false;
   LevelStorage().store(static_cast<int>(level),
                        std::memory_order_relaxed);
-  // An explicit pin covers every kernel: benchmarks and tests that ask
-  // for a level expect the probes to run at that level too.
-  ProbeStorage().store(static_cast<int>(level), std::memory_order_relaxed);
   return true;
 }
 
 bool SetLevelFromSpec(std::string_view spec) {
-  if (spec == "auto") {
-    // Auto keeps the probes scalar regardless of the bulk level — the
-    // measured-faster default (see ProbeLevel in simd.h).
-    if (!SetLevel(HighestSupported())) return false;
-    return SetProbeLevel(SimdLevel::kScalar);
-  }
+  if (spec == "auto") return SetLevel(HighestSupported());
   if (spec == "scalar") return SetLevel(SimdLevel::kScalar);
   if (spec == "avx2") return SetLevel(SimdLevel::kAvx2);
   return false;
 }
 
-SimdLevel ProbeLevel() {
-  return static_cast<SimdLevel>(
-      ProbeStorage().load(std::memory_order_relaxed));
-}
-
-bool SetProbeLevel(SimdLevel level) {
-  if (level == SimdLevel::kAvx2 && !Avx2Supported()) return false;
-  ProbeStorage().store(static_cast<int>(level), std::memory_order_relaxed);
-  return true;
-}
-
-std::string DispatchSummary() {
-  const SimdLevel level = ActiveLevel();
-  const SimdLevel probe = ProbeLevel();
-  if (probe == level) return LevelName(level);
-  return std::string(LevelName(level)) + "(probe=" + LevelName(probe) +
-         ")";
-}
+std::string DispatchSummary() { return ActiveLevelName(); }
 
 void PublishLevelMetrics() {
   metrics::SetGauge("simd.level",
                     static_cast<double>(static_cast<int>(ActiveLevel())));
-  metrics::SetGauge("simd.probe_level",
-                    static_cast<double>(static_cast<int>(ProbeLevel())));
   metrics::SetGauge("simd.avx2_supported", Avx2Supported() ? 1.0 : 0.0);
 }
 
@@ -178,59 +127,14 @@ void PublishLevelMetrics() {
     }                                                   \
     return internal::fn##_Scalar(__VA_ARGS__);          \
   } while (0)
-// The open-addressing probe kernels dispatch on the separate probe level
-// (scalar under `auto`; see ProbeLevel in simd.h).
-#define ARDA_SIMD_DISPATCH_PROBE(fn, ...)               \
-  do {                                                  \
-    if (ProbeLevel() == SimdLevel::kAvx2) {             \
-      return internal::fn##_Avx2(__VA_ARGS__);          \
-    }                                                   \
-    return internal::fn##_Scalar(__VA_ARGS__);          \
-  } while (0)
 #else
 #define ARDA_SIMD_DISPATCH(fn, ...) \
   return internal::fn##_Scalar(__VA_ARGS__)
-#define ARDA_SIMD_DISPATCH_PROBE(fn, ...) \
-  return internal::fn##_Scalar(__VA_ARGS__)
 #endif
-
-void Mix64Batch(const uint64_t* keys, size_t n, uint64_t* out) {
-  ARDA_SIMD_DISPATCH(Mix64Batch, keys, n, out);
-}
-
-size_t Int64DictLookup(const uint64_t* table_hashes,
-                       const uint32_t* table_ids,
-                       const int64_t* dict_values, uint64_t mask,
-                       const int64_t* keys, size_t n, uint32_t* out_ids,
-                       uint32_t* walk_rows) {
-  ARDA_SIMD_DISPATCH_PROBE(Int64DictLookup, table_hashes, table_ids,
-                           dict_values, mask, keys, n, out_ids, walk_rows);
-}
 
 void TupleHashBatch(const uint32_t* ids, size_t num_cols, size_t stride,
                     size_t n, uint64_t* out) {
   ARDA_SIMD_DISPATCH(TupleHashBatch, ids, num_cols, stride, n, out);
-}
-
-size_t GroupLookup(const uint64_t* table_hashes, const uint32_t* table_ids,
-                   const uint32_t* tuple_store, const uint32_t* ids,
-                   size_t num_cols, size_t stride, uint64_t mask,
-                   const uint64_t* hashes, size_t n, uint64_t* gids,
-                   uint32_t* walk_rows) {
-  ARDA_SIMD_DISPATCH_PROBE(GroupLookup, table_hashes, table_ids, tuple_store,
-                           ids, num_cols, stride, mask, hashes, n, gids,
-                           walk_rows);
-}
-
-void CountPerGroup(const uint64_t* gids, const uint8_t* valid, size_t n,
-                   size_t* counts) {
-  ARDA_SIMD_DISPATCH(CountPerGroup, gids, valid, n, counts);
-}
-
-void ScatterByGroup(const double* values, const uint8_t* valid,
-                    const uint64_t* gids, size_t n, size_t* cursor,
-                    double* out) {
-  ARDA_SIMD_DISPATCH(ScatterByGroup, values, valid, gids, n, cursor, out);
 }
 
 void ClassSquares(const double* left_counts, const double* class_counts,
@@ -263,11 +167,6 @@ void DecodeU64LeToInt64(const char* src, size_t n, int64_t* dst) {
   ARDA_SIMD_DISPATCH(DecodeU64LeToInt64, src, n, dst);
 }
 
-void ExpandValidityBitmap(const uint8_t* bitmap, size_t n, uint8_t* valid) {
-  ARDA_SIMD_DISPATCH(ExpandValidityBitmap, bitmap, n, valid);
-}
-
 #undef ARDA_SIMD_DISPATCH
-#undef ARDA_SIMD_DISPATCH_PROBE
 
 }  // namespace arda::simd

@@ -12,23 +12,8 @@
 namespace arda::simd::internal {
 
 #define ARDA_SIMD_KERNEL_DECLS(suffix)                                       \
-  void Mix64Batch_##suffix(const uint64_t* keys, size_t n, uint64_t* out);   \
-  size_t Int64DictLookup_##suffix(                                          \
-      const uint64_t* table_hashes, const uint32_t* table_ids,              \
-      const int64_t* dict_values, uint64_t mask, const int64_t* keys,       \
-      size_t n, uint32_t* out_ids, uint32_t* walk_rows);                     \
   void TupleHashBatch_##suffix(const uint32_t* ids, size_t num_cols,         \
                                size_t stride, size_t n, uint64_t* out);      \
-  size_t GroupLookup_##suffix(                                               \
-      const uint64_t* table_hashes, const uint32_t* table_ids,              \
-      const uint32_t* tuple_store, const uint32_t* ids, size_t num_cols,    \
-      size_t stride, uint64_t mask, const uint64_t* hashes, size_t n,        \
-      uint64_t* gids, uint32_t* walk_rows);                                  \
-  void CountPerGroup_##suffix(const uint64_t* gids, const uint8_t* valid,    \
-                              size_t n, size_t* counts);                     \
-  void ScatterByGroup_##suffix(const double* values, const uint8_t* valid,   \
-                               const uint64_t* gids, size_t n,               \
-                               size_t* cursor, double* out);                 \
   void ClassSquares_##suffix(const double* left_counts,                      \
                              const double* class_counts, size_t num_classes, \
                              double* left_sq, double* right_sq);             \
@@ -41,9 +26,7 @@ namespace arda::simd::internal {
                                       const double* base, size_t num_points, \
                                       size_t dims, double* out);             \
   void DecodeU64LeToDouble_##suffix(const char* src, size_t n, double* dst); \
-  void DecodeU64LeToInt64_##suffix(const char* src, size_t n, int64_t* dst); \
-  void ExpandValidityBitmap_##suffix(const uint8_t* bitmap, size_t n,        \
-                                     uint8_t* valid);
+  void DecodeU64LeToInt64_##suffix(const char* src, size_t n, int64_t* dst);
 
 ARDA_SIMD_KERNEL_DECLS(Scalar)
 #if ARDA_SIMD_COMPILED_AVX2

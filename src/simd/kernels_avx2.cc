@@ -2,10 +2,9 @@
 // -mavx2 (plus -ffp-contract=off so mul+add never fuses into FMA, which
 // would change float bits vs the scalar reference); it is reached only
 // after dispatch.cc's runtime CPU probe. Each function mirrors the
-// structure of its _Scalar twin: identical miss/walk partitions for the
-// probe kernels, the identical pinned accumulation order for
-// SquaredDistance, and exact integer/whole-number arithmetic everywhere
-// else, so outputs are bit-identical at both dispatch levels.
+// structure of its _Scalar twin: the identical pinned accumulation order
+// for SquaredDistance, and exact integer/whole-number arithmetic
+// everywhere else, so outputs are bit-identical at both dispatch levels.
 
 #if defined(ARDA_SIMD_COMPILED_AVX2)
 
@@ -18,9 +17,6 @@
 namespace arda::simd::internal {
 
 namespace {
-
-constexpr uint32_t kEmptySlot = ~0u;
-constexpr uint64_t kMissGroup = ~0ull;
 
 // 64x64->64 multiply, which AVX2 lacks natively: combine the 32-bit
 // cross products (Agner Fog's vectorclass sequence).
@@ -49,79 +45,6 @@ inline __m256i Mix64Vec(__m256i x) {
 
 }  // namespace
 
-void Mix64Batch_Avx2(const uint64_t* keys, size_t n, uint64_t* out) {
-  const size_t vec = n & ~size_t{3};
-  for (size_t i = 0; i < vec; i += 4) {
-    const __m256i k = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(keys + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), Mix64Vec(k));
-  }
-  for (size_t i = vec; i < n; ++i) out[i] = Mix64One(keys[i]);
-}
-
-size_t Int64DictLookup_Avx2(const uint64_t* table_hashes,
-                            const uint32_t* table_ids,
-                            const int64_t* dict_values, uint64_t mask,
-                            const int64_t* keys, size_t n,
-                            uint32_t* out_ids, uint32_t* walk_rows) {
-  size_t walk_count = 0;
-  const size_t vec = n & ~size_t{3};
-  const __m256i vmask = _mm256_set1_epi64x(static_cast<long long>(mask));
-  const __m256i vempty =
-      _mm256_set1_epi64x(static_cast<long long>(uint64_t{kEmptySlot}));
-  const __m256i vone = _mm256_set1_epi64x(1);
-  const __m256i vzero = _mm256_setzero_si256();
-  for (size_t i = 0; i < vec; i += 4) {
-    const __m256i k = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(keys + i));
-    const __m256i h = Mix64Vec(k);
-    const __m256i slot = _mm256_and_si256(h, vmask);
-    const __m256i th = _mm256_i64gather_epi64(
-        reinterpret_cast<const long long*>(table_hashes), slot, 8);
-    const __m128i tid = _mm256_i64gather_epi32(
-        reinterpret_cast<const int*>(table_ids), slot, 4);
-    const __m256i tid64 = _mm256_cvtepu32_epi64(tid);
-    const __m256i empty = _mm256_cmpeq_epi64(tid64, vempty);
-    // Candidate lanes: occupied home slot whose hash matches; only these
-    // gather a dictionary value (masked, so no out-of-bounds index from
-    // the empty lanes' id of ~0).
-    const __m256i cand =
-        _mm256_andnot_si256(empty, _mm256_cmpeq_epi64(th, h));
-    const __m256i vidx = _mm256_sub_epi64(tid64, vone);
-    const __m256i vals = _mm256_mask_i64gather_epi64(
-        vzero, reinterpret_cast<const long long*>(dict_values), vidx, cand,
-        8);
-    const __m256i vmatch =
-        _mm256_and_si256(cand, _mm256_cmpeq_epi64(vals, k));
-    const int m_empty = _mm256_movemask_pd(_mm256_castsi256_pd(empty));
-    const int m_match = _mm256_movemask_pd(_mm256_castsi256_pd(vmatch));
-    alignas(16) uint32_t tids[4];
-    _mm_store_si128(reinterpret_cast<__m128i*>(tids), tid);
-    for (int lane = 0; lane < 4; ++lane) {
-      if ((m_empty >> lane) & 1) {
-        out_ids[i + lane] = kEmptySlot;
-      } else if ((m_match >> lane) & 1) {
-        out_ids[i + lane] = tids[lane];
-      } else {
-        walk_rows[walk_count++] = static_cast<uint32_t>(i + lane);
-      }
-    }
-  }
-  for (size_t i = vec; i < n; ++i) {
-    const uint64_t h = Mix64One(static_cast<uint64_t>(keys[i]));
-    const size_t slot = static_cast<size_t>(h & mask);
-    const uint32_t id = table_ids[slot];
-    if (id == kEmptySlot) {
-      out_ids[i] = kEmptySlot;
-    } else if (table_hashes[slot] == h && dict_values[id - 1] == keys[i]) {
-      out_ids[i] = id;
-    } else {
-      walk_rows[walk_count++] = static_cast<uint32_t>(i);
-    }
-  }
-  return walk_count;
-}
-
 void TupleHashBatch_Avx2(const uint32_t* ids, size_t num_cols,
                          size_t stride, size_t n, uint64_t* out) {
   const size_t vec = n & ~size_t{3};
@@ -144,149 +67,6 @@ void TupleHashBatch_Avx2(const uint32_t* ids, size_t num_cols,
       h = (h ^ ids[k * stride + r]) * kFnvPrime;
     }
     out[r] = Mix64One(h);
-  }
-}
-
-size_t GroupLookup_Avx2(const uint64_t* table_hashes,
-                        const uint32_t* table_ids,
-                        const uint32_t* tuple_store, const uint32_t* ids,
-                        size_t num_cols, size_t stride, uint64_t mask,
-                        const uint64_t* hashes, size_t n, uint64_t* gids,
-                        uint32_t* walk_rows) {
-  size_t walk_count = 0;
-  const size_t vec = n & ~size_t{3};
-  const __m256i vmask = _mm256_set1_epi64x(static_cast<long long>(mask));
-  const __m256i vempty =
-      _mm256_set1_epi64x(static_cast<long long>(uint64_t{kEmptySlot}));
-  for (size_t i = 0; i < vec; i += 4) {
-    const __m256i h = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(hashes + i));
-    const __m256i slot = _mm256_and_si256(h, vmask);
-    const __m256i th = _mm256_i64gather_epi64(
-        reinterpret_cast<const long long*>(table_hashes), slot, 8);
-    const __m128i gid = _mm256_i64gather_epi32(
-        reinterpret_cast<const int*>(table_ids), slot, 4);
-    const __m256i gid64 = _mm256_cvtepu32_epi64(gid);
-    const __m256i empty = _mm256_cmpeq_epi64(gid64, vempty);
-    const __m256i cand =
-        _mm256_andnot_si256(empty, _mm256_cmpeq_epi64(th, h));
-    const int m_empty = _mm256_movemask_pd(_mm256_castsi256_pd(empty));
-    const int m_cand = _mm256_movemask_pd(_mm256_castsi256_pd(cand));
-    alignas(16) uint32_t lane_gids[4];
-    _mm_store_si128(reinterpret_cast<__m128i*>(lane_gids), gid);
-    for (int lane = 0; lane < 4; ++lane) {
-      const size_t row = i + static_cast<size_t>(lane);
-      if ((m_empty >> lane) & 1) {
-        gids[row] = kMissGroup;
-        continue;
-      }
-      if ((m_cand >> lane) & 1) {
-        const uint32_t g = lane_gids[lane];
-        const uint32_t* stored = tuple_store + size_t{g} * num_cols;
-        bool match = true;
-        for (size_t k = 0; k < num_cols; ++k) {
-          if (stored[k] != ids[k * stride + row]) {
-            match = false;
-            break;
-          }
-        }
-        if (match) {
-          gids[row] = g;
-          continue;
-        }
-      }
-      walk_rows[walk_count++] = static_cast<uint32_t>(row);
-    }
-  }
-  for (size_t i = vec; i < n; ++i) {
-    const uint64_t h = hashes[i];
-    const size_t slot = static_cast<size_t>(h & mask);
-    const uint32_t gid = table_ids[slot];
-    if (gid == kEmptySlot) {
-      gids[i] = kMissGroup;
-      continue;
-    }
-    if (table_hashes[slot] == h) {
-      const uint32_t* stored = tuple_store + size_t{gid} * num_cols;
-      bool match = true;
-      for (size_t k = 0; k < num_cols; ++k) {
-        if (stored[k] != ids[k * stride + i]) {
-          match = false;
-          break;
-        }
-      }
-      if (match) {
-        gids[i] = gid;
-        continue;
-      }
-    }
-    walk_rows[walk_count++] = static_cast<uint32_t>(i);
-  }
-  return walk_count;
-}
-
-void CountPerGroup_Avx2(const uint64_t* gids, const uint8_t* valid,
-                        size_t n, size_t* counts) {
-  if (valid == nullptr) {
-    for (size_t r = 0; r < n; ++r) ++counts[gids[r]];
-    return;
-  }
-  const __m256i zero = _mm256_setzero_si256();
-  const size_t vec = n & ~size_t{31};
-  size_t r = 0;
-  for (; r < vec; r += 32) {
-    const __m256i v = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(valid + r));
-    uint32_t m = ~static_cast<uint32_t>(
-        _mm256_movemask_epi8(_mm256_cmpeq_epi8(v, zero)));
-    if (m == 0) continue;
-    if (m == 0xFFFFFFFFu) {
-      for (size_t j = 0; j < 32; ++j) ++counts[gids[r + j]];
-      continue;
-    }
-    while (m != 0) {
-      const unsigned j = static_cast<unsigned>(__builtin_ctz(m));
-      m &= m - 1;
-      ++counts[gids[r + j]];
-    }
-  }
-  for (; r < n; ++r) {
-    if (valid[r]) ++counts[gids[r]];
-  }
-}
-
-void ScatterByGroup_Avx2(const double* values, const uint8_t* valid,
-                         const uint64_t* gids, size_t n, size_t* cursor,
-                         double* out) {
-  if (valid == nullptr) {
-    for (size_t r = 0; r < n; ++r) out[cursor[gids[r]]++] = values[r];
-    return;
-  }
-  const __m256i zero = _mm256_setzero_si256();
-  const size_t vec = n & ~size_t{31};
-  size_t r = 0;
-  for (; r < vec; r += 32) {
-    const __m256i v = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(valid + r));
-    uint32_t m = ~static_cast<uint32_t>(
-        _mm256_movemask_epi8(_mm256_cmpeq_epi8(v, zero)));
-    if (m == 0) continue;
-    if (m == 0xFFFFFFFFu) {
-      for (size_t j = 0; j < 32; ++j) {
-        out[cursor[gids[r + j]]++] = values[r + j];
-      }
-      continue;
-    }
-    // ctz visits set bits in ascending row order, preserving the
-    // per-group value order the ordered aggregates rely on.
-    while (m != 0) {
-      const unsigned j = static_cast<unsigned>(__builtin_ctz(m));
-      m &= m - 1;
-      out[cursor[gids[r + j]]++] = values[r + j];
-    }
-  }
-  for (; r < n; ++r) {
-    if (valid[r]) out[cursor[gids[r]]++] = values[r];
   }
 }
 
@@ -508,34 +288,6 @@ void DecodeU64LeToInt64_Avx2(const char* src, size_t n, int64_t* dst) {
   }
   for (size_t i = vec; i < n; ++i) {
     std::memcpy(dst + i, src + i * 8, sizeof(int64_t));
-  }
-}
-
-void ExpandValidityBitmap_Avx2(const uint8_t* bitmap, size_t n,
-                               uint8_t* valid) {
-  // 32 bits -> 32 bytes per step: broadcast a 4-byte bitmap word,
-  // shuffle each source byte across its 8 output lanes, isolate each
-  // lane's bit and normalize to 0/1.
-  const __m256i sel = _mm256_setr_epi8(
-      0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1,  //
-      2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3);
-  const __m256i bits = _mm256_setr_epi8(
-      1, 2, 4, 8, 16, 32, 64, -128, 1, 2, 4, 8, 16, 32, 64, -128,  //
-      1, 2, 4, 8, 16, 32, 64, -128, 1, 2, 4, 8, 16, 32, 64, -128);
-  const __m256i ones = _mm256_set1_epi8(1);
-  const size_t vec = n & ~size_t{31};
-  for (size_t i = 0; i < vec; i += 32) {
-    uint32_t word;
-    std::memcpy(&word, bitmap + (i >> 3), sizeof word);
-    const __m256i bytes = _mm256_shuffle_epi8(
-        _mm256_set1_epi32(static_cast<int>(word)), sel);
-    const __m256i hit =
-        _mm256_cmpeq_epi8(_mm256_and_si256(bytes, bits), bits);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(valid + i),
-                        _mm256_and_si256(hit, ones));
-  }
-  for (size_t i = vec; i < n; ++i) {
-    valid[i] = (bitmap[i >> 3] >> (i & 7)) & 1u;
   }
 }
 

@@ -8,36 +8,6 @@
 
 namespace arda::simd::internal {
 
-namespace {
-constexpr uint32_t kEmptySlot = ~0u;
-constexpr uint64_t kMissGroup = ~0ull;
-}  // namespace
-
-void Mix64Batch_Scalar(const uint64_t* keys, size_t n, uint64_t* out) {
-  for (size_t i = 0; i < n; ++i) out[i] = Mix64One(keys[i]);
-}
-
-size_t Int64DictLookup_Scalar(const uint64_t* table_hashes,
-                              const uint32_t* table_ids,
-                              const int64_t* dict_values, uint64_t mask,
-                              const int64_t* keys, size_t n,
-                              uint32_t* out_ids, uint32_t* walk_rows) {
-  size_t walk_count = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t h = Mix64One(static_cast<uint64_t>(keys[i]));
-    const size_t slot = static_cast<size_t>(h & mask);
-    const uint32_t id = table_ids[slot];
-    if (id == kEmptySlot) {
-      out_ids[i] = kEmptySlot;  // home slot free: definite miss
-    } else if (table_hashes[slot] == h && dict_values[id - 1] == keys[i]) {
-      out_ids[i] = id;
-    } else {
-      walk_rows[walk_count++] = static_cast<uint32_t>(i);
-    }
-  }
-  return walk_count;
-}
-
 void TupleHashBatch_Scalar(const uint32_t* ids, size_t num_cols,
                            size_t stride, size_t n, uint64_t* out) {
   for (size_t r = 0; r < n; ++r) {
@@ -46,63 +16,6 @@ void TupleHashBatch_Scalar(const uint32_t* ids, size_t num_cols,
       h = (h ^ ids[k * stride + r]) * kFnvPrime;
     }
     out[r] = Mix64One(h);
-  }
-}
-
-size_t GroupLookup_Scalar(const uint64_t* table_hashes,
-                          const uint32_t* table_ids,
-                          const uint32_t* tuple_store, const uint32_t* ids,
-                          size_t num_cols, size_t stride, uint64_t mask,
-                          const uint64_t* hashes, size_t n, uint64_t* gids,
-                          uint32_t* walk_rows) {
-  size_t walk_count = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t h = hashes[i];
-    const size_t slot = static_cast<size_t>(h & mask);
-    const uint32_t gid = table_ids[slot];
-    if (gid == kEmptySlot) {
-      gids[i] = kMissGroup;
-      continue;
-    }
-    if (table_hashes[slot] == h) {
-      const uint32_t* stored = tuple_store + size_t{gid} * num_cols;
-      bool match = true;
-      for (size_t k = 0; k < num_cols; ++k) {
-        if (stored[k] != ids[k * stride + i]) {
-          match = false;
-          break;
-        }
-      }
-      if (match) {
-        gids[i] = gid;
-        continue;
-      }
-    }
-    walk_rows[walk_count++] = static_cast<uint32_t>(i);
-  }
-  return walk_count;
-}
-
-void CountPerGroup_Scalar(const uint64_t* gids, const uint8_t* valid,
-                          size_t n, size_t* counts) {
-  if (valid == nullptr) {
-    for (size_t r = 0; r < n; ++r) ++counts[gids[r]];
-    return;
-  }
-  for (size_t r = 0; r < n; ++r) {
-    if (valid[r]) ++counts[gids[r]];
-  }
-}
-
-void ScatterByGroup_Scalar(const double* values, const uint8_t* valid,
-                           const uint64_t* gids, size_t n, size_t* cursor,
-                           double* out) {
-  if (valid == nullptr) {
-    for (size_t r = 0; r < n; ++r) out[cursor[gids[r]]++] = values[r];
-    return;
-  }
-  for (size_t r = 0; r < n; ++r) {
-    if (valid[r]) out[cursor[gids[r]]++] = values[r];
   }
 }
 
@@ -191,13 +104,6 @@ void DecodeU64LeToInt64_Scalar(const char* src, size_t n, int64_t* dst) {
     uint64_t bits = 0;
     for (int b = 7; b >= 0; --b) bits = (bits << 8) | p[b];
     dst[i] = static_cast<int64_t>(bits);
-  }
-}
-
-void ExpandValidityBitmap_Scalar(const uint8_t* bitmap, size_t n,
-                                 uint8_t* valid) {
-  for (size_t i = 0; i < n; ++i) {
-    valid[i] = (bitmap[i >> 3] >> (i & 7)) & 1u;
   }
 }
 

@@ -16,14 +16,14 @@
 ///
 /// Determinism contract: for every kernel, the AVX2 path produces
 /// bit-identical output to the scalar path on the kernel's input domain.
-/// Integer kernels (hashing, table probes, bitmap expansion, gathers) are
-/// exact by construction. Floating-point kernels either perform no
-/// accumulation (gathers, decodes), accumulate values that are exactly
-/// representable whole numbers so any association order yields the same
-/// bits (ClassSquares), or pin one lane-structured accumulation order that
-/// both paths implement (SquaredDistance). No kernel uses FMA: the AVX2
-/// translation units are compiled with `-ffp-contract=off` so `a*b + c`
-/// never fuses and always matches the scalar fallback.
+/// The tuple hash is integer arithmetic and exact by construction.
+/// Floating-point kernels either perform no accumulation (gathers,
+/// decodes), accumulate values that are exactly representable whole
+/// numbers so any association order yields the same bits (ClassSquares),
+/// or pin one lane-structured accumulation order that both paths
+/// implement (SquaredDistance). No kernel uses FMA: the AVX2 translation
+/// unit is compiled with `-ffp-contract=off` so `a*b + c` never fuses and
+/// always matches the scalar fallback.
 
 namespace arda::simd {
 
@@ -58,72 +58,25 @@ const char* LevelName(SimdLevel level);
 const char* ActiveLevelName();
 
 /// Pins the dispatch level. Returns false (and leaves the level alone)
-/// when the requested level is not supported on this machine. An explicit
-/// pin also pins the probe level (below) to the same value — "I asked for
-/// avx2" means all kernels, including the probes.
+/// when the requested level is not supported on this machine.
 bool SetLevel(SimdLevel level);
 
-/// Parses `auto` / `avx2` / `scalar` and pins the level. `auto` picks the
-/// highest supported level for the bulk kernels but keeps the dict-probe
-/// kernels scalar (see ProbeLevel); explicit `scalar`/`avx2` pin every
-/// kernel to that level. Returns false on an unknown spec or an
+/// Parses `auto` / `avx2` / `scalar` and pins the level (`auto` picks the
+/// highest supported one). Returns false on an unknown spec or an
 /// unsupported explicit level.
 bool SetLevelFromSpec(std::string_view spec);
 
-/// The level the open-addressing probe kernels (Int64DictLookup,
-/// GroupLookup) dispatch on. Under `auto` this defaults to kScalar even
-/// on AVX2 machines: the home-slot probe is load-latency-bound, and
-/// out-of-order scalar loads beat AVX2 gathers there (the bench_kernels
-/// `simd_hash_probe` pair measured ~0.8x for the AVX2 path — see
-/// docs/benchmarks.md). Explicit `--simd=avx2` / `SetLevel(kAvx2)` /
-/// `ARDA_SIMD=avx2` still select AVX2 probes; the determinism contract
-/// holds either way.
-SimdLevel ProbeLevel();
-
-/// Pins the probe-kernel level independently of the bulk level (used by
-/// bench A/B harnesses to save/restore the full dispatch state). Returns
-/// false when the level is not supported on this machine.
-bool SetProbeLevel(SimdLevel level);
-
-/// Human-readable dispatch summary for reports and benchmarks: the plain
-/// level name when every kernel shares one level ("scalar", "avx2"),
-/// otherwise the bulk level annotated with the probe exception, e.g.
-/// "avx2(probe=scalar)". This is what the `simd_level` report field and
-/// the service ping carry.
+/// The active level's name, as the `simd_level` report field and the
+/// service ping carry it.
 std::string DispatchSummary();
 
-/// Exports the resolved levels into the metrics registry: gauges
-/// `simd.level` and `simd.probe_level` (numeric SimdLevel) and
-/// `simd.avx2_supported` (0/1).
+/// Exports the resolved level into the metrics registry: gauges
+/// `simd.level` (numeric SimdLevel) and `simd.avx2_supported` (0/1).
 void PublishLevelMetrics();
 
 // ---------------------------------------------------------------------------
-// Kernel 1: batch hash + open-addressing table probe (KeyEncoder).
+// Kernel 1: composite-key batch hash (KeyEncoder::ProbeAll).
 // ---------------------------------------------------------------------------
-
-/// Sentinel id for "definite miss" from the table-probe kernels; matches
-/// KeyEncoder::FlatTable::kEmpty.
-inline constexpr uint32_t kIdMiss = ~0u;
-/// Sentinel group id for misses; matches KeyEncoder::kMiss.
-inline constexpr uint64_t kGroupMiss = ~0ull;
-
-/// out[i] = splitmix64 finalizer of keys[i] (the KeyEncoder hash of a
-/// native int64 key).
-void Mix64Batch(const uint64_t* keys, size_t n, uint64_t* out);
-
-/// Home-slot lookup of int64 keys against a KeyEncoder flat table
-/// (`table_hashes` / `table_ids` of size mask+1, ids 1-based into
-/// `dict_values`). For each key i:
-///  - home slot empty            -> out_ids[i] = kIdMiss (definite miss)
-///  - hash and stored value match -> out_ids[i] = the 1-based value id
-///  - otherwise (collision)       -> i is appended to walk_rows; the
-///    caller resolves it with the scalar probe walk.
-/// Returns the number of entries written to walk_rows (capacity >= n).
-size_t Int64DictLookup(const uint64_t* table_hashes,
-                       const uint32_t* table_ids,
-                       const int64_t* dict_values, uint64_t mask,
-                       const int64_t* keys, size_t n, uint32_t* out_ids,
-                       uint32_t* walk_rows);
 
 /// FNV-1a over column-major value-id tuples followed by the splitmix64
 /// finalizer (the KeyEncoder composite-key hash): for each row r,
@@ -131,36 +84,8 @@ size_t Int64DictLookup(const uint64_t* table_hashes,
 void TupleHashBatch(const uint32_t* ids, size_t num_cols, size_t stride,
                     size_t n, uint64_t* out);
 
-/// Home-slot lookup of composite keys against the KeyEncoder group table.
-/// `ids` is the column-major tuple store being probed (stride `stride`),
-/// `tuple_store` holds each group's tuple row-major (num_cols per group).
-/// For each row i: empty home slot -> gids[i] = kGroupMiss; hash match
-/// with verified tuple -> gids[i] = group id; otherwise i goes to
-/// walk_rows. Returns the walk_rows count.
-size_t GroupLookup(const uint64_t* table_hashes, const uint32_t* table_ids,
-                   const uint32_t* tuple_store, const uint32_t* ids,
-                   size_t num_cols, size_t stride, uint64_t mask,
-                   const uint64_t* hashes, size_t n, uint64_t* gids,
-                   uint32_t* walk_rows);
-
 // ---------------------------------------------------------------------------
-// Kernel 2: CSR group-by bucketing (GroupByAggregate).
-// ---------------------------------------------------------------------------
-
-/// counts[gids[r]] += 1 for every valid row. `valid` holds 0/1 bytes
-/// (Column validity storage); nullptr means all rows are valid.
-void CountPerGroup(const uint64_t* gids, const uint8_t* valid, size_t n,
-                   size_t* counts);
-
-/// CSR scatter: out[cursor[gids[r]]++] = values[r] for every valid row,
-/// in ascending row order (the per-group value order GroupByAggregate's
-/// ordered aggregates depend on). `valid` as in CountPerGroup.
-void ScatterByGroup(const double* values, const uint8_t* valid,
-                    const uint64_t* gids, size_t n, size_t* cursor,
-                    double* out);
-
-// ---------------------------------------------------------------------------
-// Kernel 3: decision-tree split scan (DecisionTree).
+// Kernel 2: decision-tree split scan (DecisionTree).
 // ---------------------------------------------------------------------------
 
 /// left_sq = sum_c left_counts[c]^2 and right_sq = sum_c
@@ -179,7 +104,7 @@ void GatherValsTargets(const double* col, const double* y,
                        double* ys);
 
 // ---------------------------------------------------------------------------
-// Kernel 4: squared Euclidean distance (KNN, geo join).
+// Kernel 3: squared Euclidean distance (KNN, geo join).
 // ---------------------------------------------------------------------------
 
 /// sum_i (a[i] - b[i])^2 with a pinned lane-structured accumulation
@@ -200,7 +125,7 @@ void SquaredDistanceToMany(const double* query, const double* base,
                            size_t num_points, size_t dims, double* out);
 
 // ---------------------------------------------------------------------------
-// Kernel 5: columnar decode (ReadColumnarString).
+// Kernel 4: columnar decode (the `.ardac` readers).
 // ---------------------------------------------------------------------------
 
 /// dst[i] = bit_cast<double>(little-endian u64 at src + 8*i).
@@ -208,10 +133,6 @@ void DecodeU64LeToDouble(const char* src, size_t n, double* dst);
 
 /// dst[i] = static_cast<int64_t>(little-endian u64 at src + 8*i).
 void DecodeU64LeToInt64(const char* src, size_t n, int64_t* dst);
-
-/// valid[i] = bit i of `bitmap` (LSB-first within each byte), expanded to
-/// the 0/1 byte-per-row Column validity layout.
-void ExpandValidityBitmap(const uint8_t* bitmap, size_t n, uint8_t* valid);
 
 }  // namespace arda::simd
 

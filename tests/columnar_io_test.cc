@@ -1,16 +1,18 @@
-// Round-trip and corruption coverage for the binary `.ardac` columnar
-// table format, plus the DataRepository directory loader that uses it as
-// a table cache (fresh-cache hits, stale-cache refresh, and graceful
-// fallback to CSV on any corrupt cache file).
+// Round-trip, corruption and mutation-fuzz coverage for the binary
+// `.ardac` columnar table format, plus the DataRepository directory loader
+// that uses it as a table cache (fresh-cache hits, stale-cache refresh,
+// and graceful fallback to CSV on any corrupt cache file).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -18,9 +20,11 @@
 #include "dataframe/column_stats.h"
 #include "dataframe/columnar_io.h"
 #include "dataframe/csv.h"
+#include "dataframe/mapped_columnar.h"
 #include "discovery/repository.h"
 #include "util/metrics.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 
 namespace arda::df {
 namespace {
@@ -54,6 +58,26 @@ DataFrame MakeTypedFrame() {
   EXPECT_TRUE(frame.AddColumn(std::move(i)).ok());
   EXPECT_TRUE(frame.AddColumn(std::move(s)).ok());
   return frame;
+}
+
+void WriteFile(const fs::path& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary);
+  out << text;
+  ASSERT_TRUE(out.good());
+}
+
+std::string ReadFile(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+// Overwrites the little-endian u32 header field at `offset` (4 = format
+// version, 16 = column count).
+std::string WithHeaderU32(std::string bytes, size_t offset, uint32_t value) {
+  for (size_t i = 0; i < 4; ++i) {
+    bytes[offset + i] = static_cast<char>((value >> (8 * i)) & 0xff);
+  }
+  return bytes;
 }
 
 void ExpectFramesIdentical(const DataFrame& a, const DataFrame& b) {
@@ -176,12 +200,43 @@ TEST(ColumnarIoTest, RejectsBadMagic) {
 }
 
 TEST(ColumnarIoTest, RejectsVersionSkew) {
-  std::string bytes = WriteColumnarString(MakeTypedFrame());
-  bytes[4] = 99;  // little-endian version field starts at offset 4
+  // Version 3 is the only one read: the retired 1 and 2 are version skew
+  // like any future version, for the eager and the mapped reader alike.
+  const std::string bytes = WriteColumnarString(MakeTypedFrame());
+  const std::string path = testing::TempDir() + "/arda_columnar_skew.ardac";
+  for (uint32_t version : {1u, 2u, 4u, 99u}) {
+    const std::string skewed = WithHeaderU32(bytes, 4, version);
+    Result<DataFrame> r = ReadColumnarString(skewed);
+    ASSERT_FALSE(r.ok()) << "version " << version;
+    EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition)
+        << "version " << version;
+    EXPECT_NE(r.status().message().find("version"), std::string::npos);
+    WriteFile(path, skewed);
+    Result<DataFrame> mapped = MapColumnar(path);
+    ASSERT_FALSE(mapped.ok()) << "version " << version;
+    EXPECT_EQ(mapped.status().code(), StatusCode::kFailedPrecondition)
+        << "version " << version;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ColumnarIoTest, ImplausibleColumnCountFailsBothReaders) {
+  // The header lies outside both checksums. A column count the index
+  // cannot hold must fail before it sizes any allocation: reserving
+  // 0x7fffffff index entries throws std::bad_alloc.
+  const std::string bytes =
+      WithHeaderU32(WriteColumnarString(MakeTypedFrame()), 16, 0x7fffffff);
   Result<DataFrame> r = ReadColumnarString(bytes);
   ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(r.status().message().find("version"), std::string::npos);
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("column count"), std::string::npos);
+
+  const std::string path = testing::TempDir() + "/arda_columnar_cols.ardac";
+  WriteFile(path, bytes);
+  Result<DataFrame> mapped = MapColumnar(path);
+  ASSERT_FALSE(mapped.ok());
+  EXPECT_EQ(mapped.status().code(), StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
 }
 
 TEST(ColumnarIoTest, RejectsChecksumMismatch) {
@@ -215,7 +270,7 @@ TEST(ColumnarIoTest, MissingFileFails) {
   EXPECT_FALSE(ReadColumnar("/nonexistent/arda.ardac").ok());
 }
 
-// --- Version-2 meta block: source fingerprint + statistics catalog ---
+// --- Meta block: source fingerprint + statistics catalog ---
 
 TEST(ColumnarIoTest, MetaBlockRoundTrips) {
   DataFrame frame = MakeTypedFrame();
@@ -247,35 +302,6 @@ TEST(ColumnarIoTest, MetaBlockRoundTrips) {
   }
 }
 
-TEST(ColumnarIoTest, VersionOneBytesStillLoad) {
-  // Files written by the previous format version carry no meta block;
-  // they must still deserialize, reporting an unknown fingerprint and an
-  // empty stats catalog (recomputed on demand by the repository).
-  DataFrame frame = MakeTypedFrame();
-  std::string v1_bytes = WriteColumnarStringV1(frame);
-  ColumnarMeta meta;
-  meta.source_size = 99;  // must be reset by the reader
-  Result<DataFrame> back = ReadColumnarString(v1_bytes, &meta);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  ExpectFramesIdentical(frame, *back);
-  EXPECT_EQ(meta.source_size, 0u);
-  EXPECT_EQ(meta.source_hash, 0u);
-  EXPECT_TRUE(meta.stats.Empty());
-}
-
-TEST(ColumnarIoTest, VersionTwoWithoutMetaBlockFailsCleanly) {
-  // A version-2 header whose payload ends after the columns (no ARDM
-  // block) is truncated — the reader must fail with a Status, not crash.
-  // (The payload checksum doesn't cover the header, so this exercises the
-  // meta-decode truncation path directly.)
-  std::string bytes = WriteColumnarStringV1(MakeTypedFrame());
-  bytes[4] = 2;  // little-endian version field starts at offset 4
-  Result<DataFrame> r = ReadColumnarString(bytes);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(r.status().message().find("meta"), std::string::npos);
-}
-
 TEST(ColumnarIoTest, EveryTruncationOfStatsFileFailsCleanly) {
   // Same contract as EveryTruncationFailsCleanly, over a file that
   // carries the full stats meta block.
@@ -289,6 +315,110 @@ TEST(ColumnarIoTest, EveryTruncationOfStatsFileFailsCleanly) {
     Result<DataFrame> r = ReadColumnarString(bytes.substr(0, len));
     EXPECT_FALSE(r.ok()) << "prefix length " << len;
   }
+}
+
+// --- Mutation fuzz: neither reader may crash on a damaged file ---
+
+TEST(ColumnarFuzzTest, MutatedFilesFailOrReadBackTheOriginal) {
+  // Every column type, nulls, an empty string and a stats meta block.
+  const DataFrame frame = MakeTypedFrame();
+  ColumnarMeta meta;
+  meta.source_size = 321;
+  meta.source_hash = 0x5eed;
+  meta.stats = ComputeTableStats(frame);
+  const std::string original = WriteColumnarString(frame, &meta);
+  uint64_t index_end = 0;
+  for (size_t i = 0; i < 8; ++i) {
+    index_end |= static_cast<uint64_t>(
+                     static_cast<unsigned char>(original[32 + i]))
+                 << (8 * i);
+  }
+  ASSERT_LT(index_end, original.size());
+
+  // Re-serializing is deterministic and covers names, types, null masks,
+  // value bits and the whole meta block, so byte equality with the
+  // original file means the read returned exactly what was written.
+  auto is_original = [&](const DataFrame& got, const ColumnarMeta& m) {
+    if (!m.stats.Empty() && m.stats.columns.size() != got.NumCols()) {
+      return false;
+    }
+    return WriteColumnarString(got, &m) == original;
+  };
+  const std::string path = testing::TempDir() + "/arda_columnar_fuzz.ardac";
+  // The eager reader checks every byte, so it fails or returns the
+  // original. The mapped reader skips the payload checksum by design: a
+  // payload mutation may change its values but must not crash it; any
+  // other mutation fails or returns the original.
+  auto check = [&](const std::string& bytes, bool payload_only,
+                   const std::string& what) {
+    ColumnarMeta got_meta;
+    Result<DataFrame> eager = ReadColumnarString(bytes, &got_meta);
+    if (eager.ok()) {
+      EXPECT_TRUE(is_original(*eager, got_meta)) << what;
+    }
+    WriteFile(path, bytes);
+    Result<DataFrame> mapped = MapColumnar(path, &got_meta);
+    if (mapped.ok() && !payload_only) {
+      EXPECT_TRUE(is_original(*mapped, got_meta)) << what;
+    }
+  };
+
+  // Each header byte zeroed, saturated and bit-flipped: header fields sit
+  // outside both checksums, so this is where the readers are most exposed.
+  for (size_t i = 0; i < 48; ++i) {
+    for (unsigned char v : {0x00, 0xff}) {
+      std::string bytes = original;
+      bytes[i] = static_cast<char>(v);
+      check(bytes, false, StrFormat("header byte %zu = %#x", i, v));
+    }
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string bytes = original;
+      bytes[i] ^= static_cast<char>(1 << bit);
+      check(bytes, false, StrFormat("header byte %zu bit %d", i, bit));
+    }
+  }
+  // Seeded random overwrites (1-8 bytes), bit flips, truncations and
+  // appended bytes anywhere in the file.
+  Rng rng(2029);
+  for (int trial = 0; trial < 4000; ++trial) {
+    std::string bytes = original;
+    const size_t offset = rng.UniformUint64(original.size());
+    bool payload_only = false;
+    std::string what;
+    switch (rng.UniformUint64(4)) {
+      case 0: {
+        const size_t len = std::min<size_t>(1 + rng.UniformUint64(8),
+                                            bytes.size() - offset);
+        for (size_t i = 0; i < len; ++i) {
+          bytes[offset + i] = static_cast<char>(rng.UniformUint64(256));
+        }
+        payload_only = offset >= index_end;
+        what = StrFormat("overwrite %zu bytes at %zu", len, offset);
+        break;
+      }
+      case 1: {
+        const int bit = static_cast<int>(rng.UniformUint64(8));
+        bytes[offset] ^= static_cast<char>(1 << bit);
+        payload_only = offset >= index_end;
+        what = StrFormat("flip bit %d at %zu", bit, offset);
+        break;
+      }
+      case 2:
+        bytes.resize(offset);
+        what = StrFormat("truncate to %zu", offset);
+        break;
+      default: {
+        const size_t len = 1 + rng.UniformUint64(16);
+        for (size_t i = 0; i < len; ++i) {
+          bytes.push_back(static_cast<char>(rng.UniformUint64(256)));
+        }
+        what = StrFormat("append %zu bytes", len);
+        break;
+      }
+    }
+    check(bytes, payload_only, what);
+  }
+  std::remove(path.c_str());
 }
 
 // --- DataRepository::LoadDirectory cache behavior ---
@@ -310,12 +440,6 @@ struct TempTree {
     fs::remove_all(cache_dir, ec);
   }
 };
-
-void WriteFile(const fs::path& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary);
-  out << text;
-  ASSERT_TRUE(out.good());
-}
 
 TEST(RepositoryCacheTest, WritesCacheThenLoadsFromIt) {
   TempTree tree("arda_repo_cache");
@@ -370,6 +494,32 @@ TEST(RepositoryCacheTest, StaleCacheIsRefreshedFromCsv) {
   EXPECT_EQ(stats.cache_hits, 0u);
   EXPECT_EQ(stats.cache_writes, 1u);
   EXPECT_EQ(second.GetOrDie("t").col("a").Int64At(0), 42);
+
+  // A cache without a source fingerprint is stale even when it is newer
+  // than its CSV: re-parsed and rewritten with a fingerprint, and no
+  // fallback recorded (it is not corrupt).
+  Result<DataFrame> old_table = ReadCsvString("a\n1\n");
+  ASSERT_TRUE(old_table.ok());
+  WriteFile(tree.cache_dir / "t.ardac", WriteColumnarString(*old_table));
+  fs::last_write_time(tree.cache_dir / "t.ardac",
+                      fs::last_write_time(tree.data_dir / "t.csv") +
+                          std::chrono::seconds(5));
+  discovery::DataRepository third;
+  discovery::LoadStats stats3;
+  ASSERT_TRUE(third
+                  .LoadDirectory(tree.data_dir.string(),
+                                 tree.cache_dir.string(), {}, &stats3)
+                  .ok());
+  EXPECT_EQ(stats3.cache_hits, 0u);
+  EXPECT_EQ(stats3.cache_writes, 1u);
+  EXPECT_TRUE(stats3.fallbacks.empty());
+  EXPECT_EQ(third.GetOrDie("t").col("a").Int64At(0), 42);
+  ColumnarMeta meta;
+  ASSERT_TRUE(ReadColumnar((tree.cache_dir / "t.ardac").string(), &meta)
+                  .ok());
+  const std::string csv = ReadFile(tree.data_dir / "t.csv");
+  EXPECT_EQ(meta.source_size, csv.size());
+  EXPECT_EQ(meta.source_hash, StatsFnv1a64(csv));
 }
 
 TEST(RepositoryCacheTest, CorruptCacheFallsBackToCsv) {
@@ -380,33 +530,49 @@ TEST(RepositoryCacheTest, CorruptCacheFallsBackToCsv) {
                   .LoadDirectory(tree.data_dir.string(),
                                  tree.cache_dir.string(), {}, nullptr)
                   .ok());
-  // Corrupt the cache (payload bit flip -> checksum mismatch); writing it
-  // also keeps its mtime >= the CSV's, so it would be used if valid.
-  WriteFile(tree.cache_dir / "t.ardac", "ARDCgarbage-not-a-valid-file");
-
-  metrics::GlobalRegistry().ResetForTest();
-  discovery::DataRepository second;
-  discovery::LoadStats stats;
-  ASSERT_TRUE(second
-                  .LoadDirectory(tree.data_dir.string(),
-                                 tree.cache_dir.string(), {}, &stats)
-                  .ok());
-  EXPECT_EQ(stats.tables_loaded, 1u);
-  EXPECT_EQ(stats.cache_hits, 0u);
-  ASSERT_EQ(stats.fallbacks.size(), 1u);
-  EXPECT_EQ(stats.fallbacks[0].table, "t");
-  // The fallback increments the skips.ingest counter exactly once (the
-  // report/counter lockstep the fault matrix asserts).
-  EXPECT_EQ(metrics::GlobalRegistry().Snapshot().CounterValue(
-                "skips.ingest"),
-            1u);
-  // The table itself is fine — re-parsed from the CSV...
-  EXPECT_EQ(second.GetOrDie("t").col("a").Int64At(0), 7);
-  // ...and the bad cache entry has been rewritten with a valid one.
-  EXPECT_EQ(stats.cache_writes, 1u);
-  Result<DataFrame> repaired =
-      ReadColumnar((tree.cache_dir / "t.ardac").string());
-  EXPECT_TRUE(repaired.ok());
+  const fs::path cache = tree.cache_dir / "t.ardac";
+  const std::string valid = ReadFile(cache);
+  // Each damaged cache is written after the CSV, so it would be used if
+  // it were valid.
+  const std::string damaged[] = {
+      "ARDCgarbage-not-a-valid-file",
+      WithHeaderU32(valid, 16, 0x7fffffff),  // implausible column count
+      WithHeaderU32(valid, 4, 2),            // retired format version
+  };
+  for (const std::string& bytes : damaged) {
+    SCOPED_TRACE(bytes.substr(0, 24));
+    WriteFile(cache, bytes);
+    metrics::GlobalRegistry().ResetForTest();
+    discovery::DataRepository second;
+    discovery::LoadStats stats;
+    ASSERT_TRUE(second
+                    .LoadDirectory(tree.data_dir.string(),
+                                   tree.cache_dir.string(), {}, &stats)
+                    .ok());
+    EXPECT_EQ(stats.tables_loaded, 1u);
+    EXPECT_EQ(stats.cache_hits, 0u);
+    ASSERT_EQ(stats.fallbacks.size(), 1u);
+    EXPECT_EQ(stats.fallbacks[0].table, "t");
+    // The fallback increments the skips.ingest counter exactly once (the
+    // report/counter lockstep the fault matrix asserts).
+    EXPECT_EQ(metrics::GlobalRegistry().Snapshot().CounterValue(
+                  "skips.ingest"),
+              1u);
+    // The table itself is fine — re-parsed from the CSV...
+    EXPECT_EQ(second.GetOrDie("t").col("a").Int64At(0), 7);
+    // ...the bad cache entry has been rewritten as a valid v3 file...
+    EXPECT_EQ(stats.cache_writes, 1u);
+    EXPECT_EQ(ReadFile(cache), valid);
+    // ...and the next load is a hit.
+    discovery::DataRepository third;
+    discovery::LoadStats stats3;
+    ASSERT_TRUE(third
+                    .LoadDirectory(tree.data_dir.string(),
+                                   tree.cache_dir.string(), {}, &stats3)
+                    .ok());
+    EXPECT_EQ(stats3.cache_hits, 1u);
+    EXPECT_TRUE(stats3.fallbacks.empty());
+  }
 }
 
 TEST(RepositoryCacheTest, BadCsvIsRecordedAndSkipped) {
@@ -472,52 +638,6 @@ TEST(RepositoryCacheTest, RewriteAtSameMtimeIsDetectedByFingerprint) {
   EXPECT_EQ(stats.cache_hits, 0u);
   EXPECT_EQ(stats.cache_writes, 1u);
   EXPECT_EQ(second.GetOrDie("t").col("a").Int64At(0), 2);
-}
-
-TEST(RepositoryCacheTest, V1CacheWithEqualMtimeIsStale) {
-  // Regression test for the equal-mtime staleness bug on fingerprint-less
-  // version-1 cache files: a CSV rewritten within the filesystem's
-  // timestamp granularity leaves the cache and the CSV with the SAME
-  // mtime, and the old `cache_time >= csv_time` freshness check kept
-  // serving the stale cache (a long-lived service ingesting rapid
-  // updates hits this constantly). Equal timestamps must count as stale.
-  TempTree tree("arda_repo_v1_equal_mtime");
-  // A v1 cache entry (no meta block, no fingerprint) holding old data.
-  Result<DataFrame> stale = ReadCsvString("a\n1\n");
-  ASSERT_TRUE(stale.ok());
-  fs::create_directories(tree.cache_dir);
-  WriteFile(tree.cache_dir / "t.ardac", WriteColumnarStringV1(*stale));
-  // The CSV now holds new data, with its mtime pinned EQUAL to the
-  // cache's — the rewritten-within-granularity case.
-  WriteFile(tree.data_dir / "t.csv", "a\n42\n");
-  fs::last_write_time(tree.data_dir / "t.csv",
-                      fs::last_write_time(tree.cache_dir / "t.ardac"));
-
-  discovery::DataRepository repo;
-  discovery::LoadStats stats;
-  ASSERT_TRUE(repo.LoadDirectory(tree.data_dir.string(),
-                                 tree.cache_dir.string(), {}, &stats)
-                  .ok());
-  EXPECT_EQ(stats.cache_hits, 0u);
-  EXPECT_EQ(stats.cache_writes, 1u);
-  EXPECT_EQ(repo.GetOrDie("t").col("a").Int64At(0), 42);
-  // ...while a cache strictly newer than the CSV is still a v1 hit.
-  fs::last_write_time(tree.cache_dir / "t.ardac",
-                      fs::last_write_time(tree.data_dir / "t.csv") +
-                          std::chrono::seconds(5));
-  // Rewrite the cache as v1 again (LoadDirectory repaired it to v2).
-  WriteFile(tree.cache_dir / "t.ardac",
-            WriteColumnarStringV1(repo.GetOrDie("t")));
-  fs::last_write_time(tree.cache_dir / "t.ardac",
-                      fs::last_write_time(tree.data_dir / "t.csv") +
-                          std::chrono::seconds(5));
-  discovery::DataRepository second;
-  discovery::LoadStats stats2;
-  ASSERT_TRUE(second
-                  .LoadDirectory(tree.data_dir.string(),
-                                 tree.cache_dir.string(), {}, &stats2)
-                  .ok());
-  EXPECT_EQ(stats2.cache_hits, 1u);
 }
 
 TEST(RepositoryCacheTest, StatsAreServedFromCacheWithoutRecompute) {

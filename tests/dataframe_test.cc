@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <unordered_map>
+#include <vector>
+
 #include "dataframe/column.h"
 #include "dataframe/data_frame.h"
+#include "dataframe/key_encoder.h"
+#include "util/rng.h"
 
 namespace arda::df {
 namespace {
@@ -210,6 +216,87 @@ TEST(DataFrameTest, HeadRendersTable) {
   EXPECT_NE(head.find("id"), std::string::npos);
   EXPECT_NE(head.find("0.1"), std::string::npos);
   EXPECT_EQ(head.find("0.3"), std::string::npos);  // only 2 rows shown
+}
+
+// The KeyEncoder equality rule spelled as text, for the hash-map oracle:
+// one field per key column, null as a marker no rendered value carries.
+std::string OracleKey(const DataFrame& frame, const std::vector<size_t>& cols,
+                      size_t row) {
+  std::string key;
+  for (size_t c : cols) {
+    const Column& col = frame.col(c);
+    key += col.IsNull(row) ? "\x01" : "\x02" + col.ValueToString(row);
+    key += '\x1f';
+  }
+  return key;
+}
+
+TEST(KeyEncoderTest, ProbeAllMatchesProbeAndHashMapOracle) {
+  // Int64 (native dictionary), string (rendered dictionary) and composite
+  // keys, with nulls on both sides. The probe side draws from wider
+  // ranges than the build side, so it misses the column dictionaries and,
+  // for the composite key, pairs known values into unknown tuples.
+  // Thousands of rows in tables sized to twice the row count leave many
+  // home slots taken by another key, so lookups walk past collisions.
+  Rng rng(515);
+  auto make = [&](size_t rows, uint64_t id_range, uint64_t city_range) {
+    Column id = Column::Empty("id", DataType::kInt64);
+    Column city = Column::Empty("city", DataType::kString);
+    for (size_t r = 0; r < rows; ++r) {
+      if (rng.UniformUint64(20) == 0) {
+        id.AppendNull();
+      } else {
+        id.AppendInt64(static_cast<int64_t>(rng.UniformUint64(id_range)) -
+                       100);
+      }
+      if (rng.UniformUint64(20) == 0) {
+        city.AppendNull();
+      } else {
+        city.AppendString("c" + std::to_string(rng.UniformUint64(city_range)));
+      }
+    }
+    DataFrame frame;
+    EXPECT_TRUE(frame.AddColumn(std::move(id)).ok());
+    EXPECT_TRUE(frame.AddColumn(std::move(city)).ok());
+    return frame;
+  };
+  const DataFrame build = make(4000, 1500, 60);
+  const DataFrame probe = make(6000, 2500, 90);
+
+  for (const std::vector<size_t>& cols :
+       {std::vector<size_t>{0}, std::vector<size_t>{1},
+        std::vector<size_t>{0, 1}}) {
+    SCOPED_TRACE(cols.size() == 2 ? "composite" : cols[0] == 0 ? "int64"
+                                                               : "string");
+    // Oracle: group ids in first-occurrence order over the build rows.
+    std::unordered_map<std::string, uint64_t> oracle;
+    for (size_t r = 0; r < build.NumRows(); ++r) {
+      const std::string key = OracleKey(build, cols, r);
+      if (oracle.count(key) == 0) {
+        const uint64_t gid = oracle.size();
+        oracle[key] = gid;
+      }
+    }
+    KeyEncoder encoder(build, cols);
+    ASSERT_EQ(encoder.num_groups(), oracle.size());
+    for (size_t r = 0; r < build.NumRows(); ++r) {
+      ASSERT_EQ(encoder.GroupOf(r), oracle.at(OracleKey(build, cols, r)));
+    }
+
+    std::vector<uint64_t> all(probe.NumRows());
+    encoder.ProbeAll(probe, cols, all.data());
+    size_t hits = 0;
+    for (size_t r = 0; r < probe.NumRows(); ++r) {
+      auto it = oracle.find(OracleKey(probe, cols, r));
+      const uint64_t expected =
+          it == oracle.end() ? KeyEncoder::kMiss : it->second;
+      ASSERT_EQ(all[r], expected) << "row " << r;
+      ASSERT_EQ(encoder.Probe(probe, cols, r), expected) << "row " << r;
+      if (expected != KeyEncoder::kMiss) ++hits;
+    }
+    EXPECT_GT(hits, 0u);
+    EXPECT_LT(hits, probe.NumRows());
+  }
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
-// Out-of-core repository coverage: the mmap-backed `.ardac` v3 reader
+// Out-of-core repository coverage: the mmap-backed `.ardac` reader
 // (dataframe/mapped_columnar.h), the borrowed-column lifetime contract,
-// the stat-based file sizing, the legacy v2 writer's truncation sweep,
-// the repository's map_cache mode, and the radix-partitioned join /
-// group-by kernels' bit-identity at every partition count.
+// the stat-based file sizing, the repository's map_cache mode, and the
+// radix-partitioned join / group-by kernels' bit-identity at every
+// partition count.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -79,11 +80,8 @@ TEST(MappedColumnarTest, MappedReadMatchesEagerRead) {
   ColumnarMeta eager_meta, mapped_meta;
   Result<DataFrame> eager = ReadColumnar(path, &eager_meta);
   ASSERT_TRUE(eager.ok()) << eager.status().ToString();
-  bool unsupported_version = true;
-  Result<DataFrame> mapped = MapColumnar(path, &mapped_meta,
-                                         &unsupported_version);
+  Result<DataFrame> mapped = MapColumnar(path, &mapped_meta);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  EXPECT_FALSE(unsupported_version);
   ExpectFramesIdentical(frame, *eager);
   ExpectFramesIdentical(frame, *mapped);
   EXPECT_EQ(mapped_meta.source_size, 77u);
@@ -118,24 +116,6 @@ TEST(MappedColumnarTest, MappedReadMatchesEagerOnLargeMixedTable) {
   std::remove(path.c_str());
 }
 
-TEST(MappedColumnarTest, LegacyVersionsReportUnsupportedVersion) {
-  DataFrame frame = MakeTypedFrame();
-  const std::string path = testing::TempDir() + "/arda_map_legacy.ardac";
-  for (const std::string& bytes :
-       {WriteColumnarStringV1(frame), WriteColumnarStringV2(frame)}) {
-    WriteFileBytes(path, bytes);
-    bool unsupported_version = false;
-    Result<DataFrame> mapped = MapColumnar(path, nullptr,
-                                           &unsupported_version);
-    EXPECT_FALSE(mapped.ok());
-    EXPECT_TRUE(unsupported_version);
-    // The eager path still loads the same file, so the repository can
-    // silently fall through for pre-v3 caches.
-    EXPECT_TRUE(ReadColumnar(path).ok());
-  }
-  std::remove(path.c_str());
-}
-
 TEST(MappedColumnarTest, EveryTruncationFailsWithStatusNotSigbus) {
   // The v3 safety contract: every extent is validated against the real
   // file size before the first payload access, so a truncated file of
@@ -149,11 +129,7 @@ TEST(MappedColumnarTest, EveryTruncationFailsWithStatusNotSigbus) {
   const std::string path = testing::TempDir() + "/arda_map_trunc.ardac";
   for (size_t len = 0; len < bytes.size(); ++len) {
     WriteFileBytes(path, bytes.substr(0, len));
-    bool unsupported_version = false;
-    Result<DataFrame> mapped = MapColumnar(path, nullptr,
-                                           &unsupported_version);
-    EXPECT_FALSE(mapped.ok()) << "prefix length " << len;
-    EXPECT_FALSE(unsupported_version) << "prefix length " << len;
+    EXPECT_FALSE(MapColumnar(path).ok()) << "prefix length " << len;
   }
   std::remove(path.c_str());
 }
@@ -259,27 +235,6 @@ TEST(FileSizeBytesTest, SizesPastTwoGiBAreNotTruncated) {
   std::remove(path.c_str());
 }
 
-// --- legacy v2 writer: the sliced-at-every-length contract ---
-
-TEST(ColumnarV2Test, RoundTripsAndEveryTruncationFailsCleanly) {
-  DataFrame frame = MakeTypedFrame();
-  ColumnarMeta meta;
-  meta.source_size = 42;
-  meta.source_hash = 43;
-  meta.stats = ComputeTableStats(frame);
-  const std::string bytes = WriteColumnarStringV2(frame, &meta);
-
-  ColumnarMeta back_meta;
-  Result<DataFrame> back = ReadColumnarString(bytes, &back_meta);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  ExpectFramesIdentical(frame, *back);
-  EXPECT_EQ(back_meta.source_size, 42u);
-  for (size_t len = 0; len < bytes.size(); ++len) {
-    Result<DataFrame> r = ReadColumnarString(bytes.substr(0, len));
-    EXPECT_FALSE(r.ok()) << "prefix length " << len;
-  }
-}
-
 // --- DataRepository map_cache mode ---
 
 struct TempTree {
@@ -338,56 +293,56 @@ TEST(RepositoryMapCacheTest, CorruptCacheDegradesToCsv) {
                   .LoadDirectory(tree.data_dir.string(),
                                  tree.cache_dir.string(), {}, nullptr)
                   .ok());
-  // Corrupt the cache in place (same size, bad bytes).
+  const fs::path cache = tree.cache_dir / "t.ardac";
+  std::string valid;
   {
-    std::fstream f(tree.cache_dir / "t.ardac",
-                   std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(52);
-    f.put('\xff');
+    std::ifstream in(cache, std::ios::binary);
+    valid.assign(std::istreambuf_iterator<char>(in), {});
   }
-  discovery::DataRepository repo;
-  discovery::LoadOptions options;
-  options.map_cache = true;
-  discovery::LoadStats stats;
-  ASSERT_TRUE(repo
-                  .LoadDirectory(tree.data_dir.string(),
-                                 tree.cache_dir.string(), options, &stats)
-                  .ok());
-  EXPECT_TRUE(repo.Has("t"));
-  EXPECT_EQ(stats.cache_hits, 0u);
-  ASSERT_EQ(stats.fallbacks.size(), 1u);
-  EXPECT_EQ(repo.GetOrDie("t").col("a").Int64At(1), 2);
-}
-
-TEST(RepositoryMapCacheTest, V2CacheServedEagerlyWithoutFallback) {
-  // Pre-v3 caches predate the column index: map_cache mode serves them
-  // through the eager reader with NO fallback recorded (they are not
-  // corrupt, just not mmap-able), and migrates them to v3 only when the
-  // CSV changes.
-  TempTree tree("arda_oocore_v2");
-  const std::string csv = "a,b\n1,x\n2,y\n";
-  WriteFileBytes(tree.data_dir / "t.csv", csv);
-  Result<DataFrame> parsed = ReadCsvString(csv);
-  ASSERT_TRUE(parsed.ok());
-  ColumnarMeta meta;
-  meta.source_size = csv.size();
-  meta.source_hash = StatsFnv1a64(csv);
-  meta.stats = ComputeTableStats(*parsed);
-  fs::create_directories(tree.cache_dir);
-  WriteFileBytes(tree.cache_dir / "t.ardac",
-                 WriteColumnarStringV2(*parsed, &meta));
-
-  discovery::DataRepository repo;
-  discovery::LoadOptions options;
-  options.map_cache = true;
-  discovery::LoadStats stats;
-  ASSERT_TRUE(repo
-                  .LoadDirectory(tree.data_dir.string(),
-                                 tree.cache_dir.string(), options, &stats)
-                  .ok());
-  EXPECT_EQ(stats.cache_hits, 1u);
-  EXPECT_TRUE(stats.fallbacks.empty());
-  ExpectFramesIdentical(*parsed, repo.GetOrDie("t"));
+  // Little-endian u32 header fields: 4 = format version, 16 = column
+  // count.
+  auto with_header_u32 = [&](size_t offset, uint32_t value) {
+    std::string bytes = valid;
+    for (size_t i = 0; i < 4; ++i) {
+      bytes[offset + i] = static_cast<char>((value >> (8 * i)) & 0xff);
+    }
+    return bytes;
+  };
+  std::string bad_index = valid;
+  bad_index[52] = '\xff';  // inside the column index: checksum mismatch
+  const std::string damaged[] = {
+      bad_index,
+      with_header_u32(16, 0x7fffffff),  // implausible column count
+      with_header_u32(4, 2),            // retired format version
+  };
+  for (size_t i = 0; i < std::size(damaged); ++i) {
+    SCOPED_TRACE(i);
+    WriteFileBytes(cache, damaged[i]);
+    discovery::DataRepository repo;
+    discovery::LoadOptions options;
+    options.map_cache = true;
+    discovery::LoadStats stats;
+    ASSERT_TRUE(repo
+                    .LoadDirectory(tree.data_dir.string(),
+                                   tree.cache_dir.string(), options, &stats)
+                    .ok());
+    EXPECT_TRUE(repo.Has("t"));
+    EXPECT_EQ(stats.cache_hits, 0u);
+    ASSERT_EQ(stats.fallbacks.size(), 1u);
+    EXPECT_EQ(repo.GetOrDie("t").col("a").Int64At(1), 2);
+    // The cache is rewritten as a valid v3 file, so the next mapped load
+    // is a hit.
+    EXPECT_EQ(stats.cache_writes, 1u);
+    discovery::DataRepository next;
+    discovery::LoadStats next_stats;
+    ASSERT_TRUE(next
+                    .LoadDirectory(tree.data_dir.string(),
+                                   tree.cache_dir.string(), options,
+                                   &next_stats)
+                    .ok());
+    EXPECT_EQ(next_stats.cache_hits, 1u);
+    EXPECT_TRUE(next_stats.fallbacks.empty());
+  }
 }
 
 // --- radix partitioning primitives ---

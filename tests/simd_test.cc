@@ -27,24 +27,19 @@ uint64_t NextRand(uint64_t* state) {
 }
 
 // The size sweep used by every kernel test: zero, sub-vector-width
-// tails (AVX2 widths are 4 for 64-bit lanes and 32 for validity bytes),
-// exact multiples, and off-by-one straddles.
+// tails (the AVX2 width is 4 for 64-bit lanes), exact multiples, and
+// off-by-one straddles.
 const size_t kSizes[] = {0,  1,  2,  3,  4,  5,  7,  8,  31, 32,
                          33, 63, 64, 65, 100, 255, 256, 1000};
 
-// Restores the entry dispatch state (bulk level and probe level — an
-// explicit SetLevel pins both) when a test exits.
+// Restores the entry dispatch level when a test exits.
 class LevelGuard {
  public:
-  LevelGuard() : saved_(ActiveLevel()), saved_probe_(ProbeLevel()) {}
-  ~LevelGuard() {
-    SetLevel(saved_);
-    SetProbeLevel(saved_probe_);
-  }
+  LevelGuard() : saved_(ActiveLevel()) {}
+  ~LevelGuard() { SetLevel(saved_); }
 
  private:
   SimdLevel saved_;
-  SimdLevel saved_probe_;
 };
 
 // Runs `body` once per supported dispatch level (always at least
@@ -79,40 +74,14 @@ TEST(SimdDispatchTest, SpecParsing) {
   LevelGuard guard;
   EXPECT_TRUE(SetLevelFromSpec("scalar"));
   EXPECT_EQ(ActiveLevel(), SimdLevel::kScalar);
+  EXPECT_EQ(DispatchSummary(), "scalar");
   EXPECT_TRUE(SetLevelFromSpec("auto"));
   EXPECT_EQ(ActiveLevel(),
             Avx2Supported() ? SimdLevel::kAvx2 : SimdLevel::kScalar);
+  EXPECT_EQ(DispatchSummary(), ActiveLevelName());
   EXPECT_FALSE(SetLevelFromSpec("sse9"));
   EXPECT_FALSE(SetLevelFromSpec(""));
   EXPECT_EQ(SetLevelFromSpec("avx2"), Avx2Supported());
-}
-
-TEST(SimdDispatchTest, AutoKeepsProbesScalarExplicitPinsEverything) {
-  LevelGuard guard;
-  // `auto` resolves the bulk level to the highest supported one but keeps
-  // the load-latency-bound probe kernels scalar (docs/benchmarks.md,
-  // `simd_hash_probe`).
-  ASSERT_TRUE(SetLevelFromSpec("auto"));
-  EXPECT_EQ(ProbeLevel(), SimdLevel::kScalar);
-  if (Avx2Supported()) {
-    EXPECT_EQ(ActiveLevel(), SimdLevel::kAvx2);
-    EXPECT_EQ(DispatchSummary(), "avx2(probe=scalar)");
-    // Explicit avx2 pins the probes too — the opt-in is preserved.
-    ASSERT_TRUE(SetLevelFromSpec("avx2"));
-    EXPECT_EQ(ProbeLevel(), SimdLevel::kAvx2);
-    EXPECT_EQ(DispatchSummary(), "avx2");
-    ASSERT_TRUE(SetLevel(SimdLevel::kAvx2));
-    EXPECT_EQ(ProbeLevel(), SimdLevel::kAvx2);
-  } else {
-    EXPECT_EQ(DispatchSummary(), "scalar");
-  }
-  // Explicit scalar pins everything scalar.
-  ASSERT_TRUE(SetLevelFromSpec("scalar"));
-  EXPECT_EQ(ProbeLevel(), SimdLevel::kScalar);
-  EXPECT_EQ(DispatchSummary(), "scalar");
-  // The probe level can be restored independently (bench harness idiom).
-  EXPECT_TRUE(SetProbeLevel(SimdLevel::kScalar));
-  EXPECT_EQ(SetProbeLevel(SimdLevel::kAvx2), Avx2Supported());
 }
 
 TEST(SimdDispatchTest, MetricsGauge) {
@@ -137,97 +106,6 @@ TEST(SimdDispatchTest, AlignedAllocator) {
   EXPECT_EQ(reinterpret_cast<uintptr_t>(w.data()) % kAlign, 0u);
 }
 
-TEST(SimdKernelsTest, Mix64BatchMatchesScalar) {
-  for (size_t n : kSizes) {
-    uint64_t state = 0x1234 + n;
-    std::vector<uint64_t> keys(n);
-    for (uint64_t& k : keys) k = NextRand(&state);
-    std::vector<uint64_t> reference;
-    ForEachLevel([&](SimdLevel level) {
-      std::vector<uint64_t> out(n, 0);
-      Mix64Batch(keys.data(), n, out.data());
-      if (level == SimdLevel::kScalar) {
-        reference = out;
-      } else {
-        EXPECT_EQ(out, reference) << "n=" << n;
-      }
-    });
-  }
-}
-
-// Builds a small open-addressing table the way KeyEncoder does, inserting
-// with the same splitmix64 hash and linear probing.
-struct TestTable {
-  std::vector<uint64_t> hashes;
-  std::vector<uint32_t> ids;
-  std::vector<int64_t> values;
-
-  explicit TestTable(const std::vector<int64_t>& distinct, size_t cap) {
-    hashes.assign(cap, 0);
-    ids.assign(cap, kIdMiss);
-    const uint64_t mask = cap - 1;
-    for (int64_t v : distinct) {
-      uint64_t scratch = static_cast<uint64_t>(v);
-      uint64_t h;
-      Mix64Batch(&scratch, 1, &h);
-      size_t slot = static_cast<size_t>(h & mask);
-      while (ids[slot] != kIdMiss) slot = (slot + 1) & mask;
-      values.push_back(v);
-      hashes[slot] = h;
-      ids[slot] = static_cast<uint32_t>(values.size());
-    }
-  }
-};
-
-TEST(SimdKernelsTest, Int64DictLookupMatchesScalar) {
-  std::vector<int64_t> distinct;
-  for (int64_t v = 0; v < 200; ++v) distinct.push_back(v * 3);
-  TestTable table(distinct, 512);
-  for (size_t n : kSizes) {
-    uint64_t state = 0x9876 + n;
-    std::vector<int64_t> keys(n);
-    for (int64_t& k : keys) {
-      // Mix of hits, definite misses and values that collide into
-      // occupied slots.
-      k = static_cast<int64_t>(NextRand(&state) % 700);
-    }
-    std::vector<uint32_t> ref_ids;
-    std::vector<uint32_t> ref_walk;
-    size_t ref_walk_count = 0;
-    ForEachLevel([&](SimdLevel level) {
-      std::vector<uint32_t> out(n, 123456);
-      std::vector<uint32_t> walk(n, 123456);
-      const size_t walk_count = Int64DictLookup(
-          table.hashes.data(), table.ids.data(), table.values.data(),
-          table.hashes.size() - 1, keys.data(), n, out.data(), walk.data());
-      walk.resize(walk_count);
-      if (level == SimdLevel::kScalar) {
-        ref_ids = out;
-        ref_walk = walk;
-        ref_walk_count = walk_count;
-      } else {
-        EXPECT_EQ(walk_count, ref_walk_count) << "n=" << n;
-        EXPECT_EQ(walk, ref_walk) << "n=" << n;
-        EXPECT_EQ(out, ref_ids) << "n=" << n;
-      }
-    });
-    // Semantic spot check at any level: resolved ids point at the key.
-    std::vector<uint32_t> out(n);
-    std::vector<uint32_t> walk(n);
-    const size_t walk_count = Int64DictLookup(
-        table.hashes.data(), table.ids.data(), table.values.data(),
-        table.hashes.size() - 1, keys.data(), n, out.data(), walk.data());
-    std::vector<bool> walked(n, false);
-    for (size_t w = 0; w < walk_count; ++w) walked[walk[w]] = true;
-    for (size_t i = 0; i < n; ++i) {
-      if (walked[i]) continue;
-      if (out[i] != kIdMiss) {
-        EXPECT_EQ(table.values[out[i] - 1], keys[i]);
-      }
-    }
-  }
-}
-
 TEST(SimdKernelsTest, TupleHashBatchMatchesScalar) {
   for (size_t n : kSizes) {
     for (size_t num_cols : {size_t{1}, size_t{2}, size_t{5}}) {
@@ -245,110 +123,6 @@ TEST(SimdKernelsTest, TupleHashBatchMatchesScalar) {
           reference = out;
         } else {
           EXPECT_EQ(out, reference) << "n=" << n << " cols=" << num_cols;
-        }
-      });
-    }
-  }
-}
-
-TEST(SimdKernelsTest, GroupLookupMatchesScalar) {
-  // Group table over 2-column tuples, built with TupleHashBatch hashes.
-  const size_t num_cols = 2;
-  const size_t num_groups = 64;
-  std::vector<uint32_t> tuple_store;
-  const size_t cap = 256;
-  std::vector<uint64_t> table_hashes(cap, 0);
-  std::vector<uint32_t> table_ids(cap, kIdMiss);
-  for (size_t g = 0; g < num_groups; ++g) {
-    const uint32_t a = static_cast<uint32_t>(g % 16);
-    const uint32_t b = static_cast<uint32_t>(g / 16 + 1);
-    const uint32_t tuple[2] = {a, b};
-    uint64_t h;
-    TupleHashBatch(tuple, num_cols, 1, 1, &h);
-    size_t slot = static_cast<size_t>(h & (cap - 1));
-    while (table_ids[slot] != kIdMiss) slot = (slot + 1) & (cap - 1);
-    table_hashes[slot] = h;
-    table_ids[slot] = static_cast<uint32_t>(g);
-    tuple_store.push_back(a);
-    tuple_store.push_back(b);
-  }
-  for (size_t n : kSizes) {
-    uint64_t state = 0xabcd + n;
-    const size_t stride = n + 1;
-    std::vector<uint32_t> ids(num_cols * stride, 0);
-    for (size_t r = 0; r < n; ++r) {
-      ids[r] = static_cast<uint32_t>(NextRand(&state) % 24);       // col 0
-      ids[stride + r] = static_cast<uint32_t>(NextRand(&state) % 7);  // col 1
-    }
-    std::vector<uint64_t> hashes(n);
-    {
-      // Row-major per-row hashing to seed the probe hashes.
-      for (size_t r = 0; r < n; ++r) {
-        const uint32_t tuple[2] = {ids[r], ids[stride + r]};
-        TupleHashBatch(tuple, num_cols, 1, 1, &hashes[r]);
-      }
-    }
-    std::vector<uint64_t> ref_gids;
-    std::vector<uint32_t> ref_walk;
-    ForEachLevel([&](SimdLevel level) {
-      std::vector<uint64_t> gids(n, 77);
-      std::vector<uint32_t> walk(n, 77);
-      const size_t walk_count = GroupLookup(
-          table_hashes.data(), table_ids.data(), tuple_store.data(),
-          ids.data(), num_cols, stride, cap - 1, hashes.data(), n,
-          gids.data(), walk.data());
-      walk.resize(walk_count);
-      if (level == SimdLevel::kScalar) {
-        ref_gids = gids;
-        ref_walk = walk;
-      } else {
-        EXPECT_EQ(walk, ref_walk) << "n=" << n;
-        EXPECT_EQ(gids, ref_gids) << "n=" << n;
-      }
-    });
-  }
-}
-
-TEST(SimdKernelsTest, CountAndScatterByGroupMatchScalar) {
-  const size_t num_groups = 10;
-  for (size_t n : kSizes) {
-    uint64_t state = 0x7777 + n;
-    std::vector<uint64_t> gids(n);
-    std::vector<uint8_t> valid(n);
-    std::vector<double> values(n);
-    for (size_t r = 0; r < n; ++r) {
-      gids[r] = NextRand(&state) % num_groups;
-      valid[r] = NextRand(&state) % 3 != 0 ? 1 : 0;
-      values[r] = static_cast<double>(static_cast<int64_t>(
-                      NextRand(&state) % 2000) - 1000) / 8.0;
-    }
-    for (const uint8_t* validity :
-         {static_cast<const uint8_t*>(valid.data()),
-          static_cast<const uint8_t*>(nullptr)}) {
-      std::vector<size_t> ref_counts;
-      std::vector<double> ref_out;
-      std::vector<size_t> ref_cursor;
-      ForEachLevel([&](SimdLevel level) {
-        std::vector<size_t> counts(num_groups, 0);
-        CountPerGroup(gids.data(), validity, n, counts.data());
-        // CSR layout from the counts, then scatter.
-        std::vector<size_t> cursor(num_groups, 0);
-        size_t total = 0;
-        for (size_t g = 0; g < num_groups; ++g) {
-          cursor[g] = total;
-          total += counts[g];
-        }
-        std::vector<double> out(total, -1.0);
-        ScatterByGroup(values.data(), validity, gids.data(), n,
-                       cursor.data(), out.data());
-        if (level == SimdLevel::kScalar) {
-          ref_counts = counts;
-          ref_out = out;
-          ref_cursor = cursor;
-        } else {
-          EXPECT_EQ(counts, ref_counts) << "n=" << n;
-          EXPECT_EQ(cursor, ref_cursor) << "n=" << n;
-          EXPECT_EQ(out, ref_out) << "n=" << n;
         }
       });
     }
@@ -527,29 +301,6 @@ TEST(SimdKernelsTest, DecodeU64LeMatchesScalar) {
                     0)
               << "n=" << n;
         }
-      }
-    });
-  }
-}
-
-TEST(SimdKernelsTest, ExpandValidityBitmapMatchesScalar) {
-  for (size_t n : kSizes) {
-    uint64_t state = 0x1111 + n;
-    std::vector<uint8_t> bitmap((n + 7) / 8);
-    for (uint8_t& b : bitmap) b = static_cast<uint8_t>(NextRand(&state));
-    std::vector<uint8_t> reference;
-    ForEachLevel([&](SimdLevel level) {
-      std::vector<uint8_t> valid(n, 9);
-      ExpandValidityBitmap(bitmap.data(), n, valid.data());
-      for (size_t i = 0; i < n; ++i) {
-        ASSERT_LE(valid[i], 1) << "n=" << n << " i=" << i;
-        ASSERT_EQ(valid[i], (bitmap[i / 8] >> (i % 8)) & 1)
-            << "n=" << n << " i=" << i;
-      }
-      if (level == SimdLevel::kScalar) {
-        reference = valid;
-      } else {
-        EXPECT_EQ(valid, reference) << "n=" << n;
       }
     });
   }
