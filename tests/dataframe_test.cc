@@ -263,11 +263,12 @@ TEST(KeyEncoderTest, ProbeAllMatchesProbeAndHashMapOracle) {
   const DataFrame build = make(4000, 1500, 60);
   const DataFrame probe = make(6000, 2500, 90);
 
-  for (const std::vector<size_t>& cols :
-       {std::vector<size_t>{0}, std::vector<size_t>{1},
-        std::vector<size_t>{0, 1}}) {
-    SCOPED_TRACE(cols.size() == 2 ? "composite" : cols[0] == 0 ? "int64"
-                                                               : "string");
+  const struct {
+    const char* name;
+    std::vector<size_t> cols;
+  } key_sets[] = {{"int64", {0}}, {"string", {1}}, {"composite", {0, 1}}};
+  for (const auto& [name, cols] : key_sets) {
+    SCOPED_TRACE(name);
     // Oracle: group ids in first-occurrence order over the build rows.
     std::unordered_map<std::string, uint64_t> oracle;
     for (size_t r = 0; r < build.NumRows(); ++r) {
