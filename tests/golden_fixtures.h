@@ -14,6 +14,8 @@
 // rendering that defines key equality.
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -91,6 +93,157 @@ inline std::string GoldenForestPredictions(size_t num_threads) {
   out += "importances\n";
   for (double v : forest.feature_importances()) {
     out += StrFormat("%a\n", v);
+  }
+  return out;
+}
+
+/// A NaN with the given bit pattern (payload and sign).
+inline double NanFromBits(uint64_t bits) {
+  double d;
+  std::memcpy(&d, &bits, sizeof(d));
+  ARDA_CHECK(std::isnan(d));
+  return d;
+}
+
+/// Regression data full of the ties the split search must order exactly:
+/// quantized columns (ties in value and in (value, y)), -0.0 beside +0.0
+/// in features and in y, and NaN cells with four different payloads, two
+/// of them negative-signed. y takes few values, all multiples of 0.1, and
+/// is never NaN.
+inline ml::Dataset GoldenTiedRegressionData() {
+  static const uint64_t kNanBits[] = {
+      0x7ff8000000000000ull, 0x7ff8000000000123ull, 0xfff8000000000000ull,
+      0xfff800000000abcdull};
+  Rng rng(83);
+  ml::Dataset data;
+  data.task = ml::TaskType::kRegression;
+  const size_t rows = 240, cols = 8;
+  data.x = la::Matrix(rows, cols);
+  data.y.resize(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    double a = std::round(rng.Normal() * 2.0) / 2.0;
+    if (a == 0.0) a = r % 2 == 0 ? -0.0 : 0.0;
+    double b = static_cast<double>(rng.UniformUint64(2));
+    double c = static_cast<double>(rng.UniformUint64(3)) - 1.0;
+    if (c == 0.0) c = r % 3 == 0 ? -0.0 : 0.0;
+    data.x(r, 0) = a;
+    data.x(r, 1) = b;
+    data.x(r, 2) = c;
+    data.x(r, 3) = r % 9 == 4 ? NanFromBits(kNanBits[(r / 9) % 4])
+                              : std::round(rng.Normal() * 4.0) / 4.0;
+    data.x(r, 4) = rng.Normal();
+    data.x(r, 5) = r % 5 == 0 ? NanFromBits(kNanBits[(r / 5) % 4])
+                              : std::round(rng.Uniform(0.0, 6.0));
+    data.x(r, 6) = r % 7 == 1 ? (r % 2 == 0 ? -0.0 : 0.0)
+                              : std::round(rng.Normal() * 8.0) / 8.0;
+    data.x(r, 7) = r % 3 == 0 ? NanFromBits(kNanBits[r % 4])
+                              : static_cast<double>(rng.UniformUint64(4));
+    // Multiples of 0.1 are inexact in binary, so scan sums depend on the
+    // order of tied rows: a wrong tie order changes their bits.
+    double y = 0.1 * std::round(4.0 * (a - 0.5 * b + 0.25 * c +
+                                       rng.Normal(0.0, 0.3)));
+    if (y == 0.0) y = r % 4 < 2 ? -0.0 : 0.0;
+    data.y[r] = y;
+  }
+  for (size_t c = 0; c < cols; ++c) {
+    data.feature_names.push_back("t" + std::to_string(c));
+  }
+  return data;
+}
+
+/// Three-class data on heavily tied columns: four binary and four
+/// 3-level features (their zeros alternate -0.0 and +0.0).
+inline ml::Dataset GoldenTiedClassificationData() {
+  Rng rng(89);
+  ml::Dataset data;
+  data.task = ml::TaskType::kClassification;
+  const size_t rows = 300, cols = 8;
+  data.x = la::Matrix(rows, cols);
+  data.y.resize(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < cols; ++c) {
+      double v = static_cast<double>(rng.UniformUint64(c < 4 ? 2 : 3));
+      if (v == 0.0 && (r + c) % 2 == 0) v = -0.0;
+      data.x(r, c) = v;
+    }
+    const double score = data.x(r, 0) + data.x(r, 4) - 0.5 * data.x(r, 1) +
+                         rng.Normal(0.0, 0.6);
+    data.y[r] = score < 0.5 ? 0.0 : (score < 1.5 ? 1.0 : 2.0);
+  }
+  for (size_t c = 0; c < cols; ++c) {
+    data.feature_names.push_back("k" + std::to_string(c));
+  }
+  return data;
+}
+
+/// Forest predictions on the training rows and importances, hexfloat.
+inline std::string SerializeForest(const ml::RandomForest& forest,
+                                   const la::Matrix& x) {
+  std::string out;
+  for (double v : forest.Predict(x)) out += StrFormat("%a\n", v);
+  out += "importances\n";
+  for (double v : forest.feature_importances()) {
+    out += StrFormat("%a\n", v);
+  }
+  return out;
+}
+
+/// Regression forest (per-node split search on bootstrap samples with
+/// duplicates) over the tie/±0/NaN data, at the given thread count.
+inline std::string GoldenTiedRegressionForest(size_t num_threads) {
+  ml::Dataset data = GoldenTiedRegressionData();
+  ml::ForestConfig config;
+  config.task = ml::TaskType::kRegression;
+  config.num_trees = 12;
+  config.num_threads = num_threads;
+  config.seed = 97;
+  ml::RandomForest forest(config);
+  forest.Fit(data.x, data.y);
+  return SerializeForest(forest, data.x);
+}
+
+/// Classification forest over the binary and 3-level columns.
+inline std::string GoldenTiedClassificationForest(size_t num_threads) {
+  ml::Dataset data = GoldenTiedClassificationData();
+  ml::ForestConfig config;
+  config.task = ml::TaskType::kClassification;
+  config.num_trees = 12;
+  config.num_threads = num_threads;
+  config.seed = 101;
+  ml::RandomForest forest(config);
+  forest.Fit(data.x, data.y);
+  return SerializeForest(forest, data.x);
+}
+
+/// Single regression tree (every feature a candidate at every node) over
+/// the tie/±0/NaN data, plus its importances.
+inline std::string GoldenTiedRegressionTree() {
+  ml::Dataset data = GoldenTiedRegressionData();
+  ml::TreeConfig config;
+  config.task = ml::TaskType::kRegression;
+  config.seed = 103;
+  ml::DecisionTree tree(config);
+  tree.Fit(data.x, data.y);
+  std::string out = tree.Serialize();
+  out += "importances\n";
+  for (double v : tree.feature_importances()) out += StrFormat("%a\n", v);
+  return out;
+}
+
+/// Evaluator scores, hexfloat: ScoreFeatures on the reordered subset
+/// {5, 1, 3}, ScoreAllFeatures and FinalScore on all features, for the
+/// tied regression and classification data.
+inline std::string GoldenEvaluatorScores() {
+  std::string out;
+  for (const ml::Dataset& data :
+       {GoldenTiedRegressionData(), GoldenTiedClassificationData()}) {
+    ml::Evaluator evaluator(data, 0.25, 107);
+    out += StrFormat("%s\n", ml::TaskTypeName(data.task));
+    out += StrFormat("score {5,1,3} %a\n", evaluator.ScoreFeatures({5, 1, 3}));
+    out += StrFormat("score all %a\n", evaluator.ScoreAllFeatures());
+    out += StrFormat("final all %a\n",
+                     evaluator.FinalScore(
+                         ml::AllFeatureIndices(data.NumFeatures())));
   }
   return out;
 }

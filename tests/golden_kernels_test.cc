@@ -3,7 +3,9 @@
 // The files under tests/golden/ were serialized from the pre-rewrite
 // (PR 1) row-at-a-time kernels at fixed seeds; the pre-sorted split
 // search and the interned-key join/group-by paths must reproduce them
-// byte for byte, at 1 and at 8 threads. The RIFS goldens (l2,1 solver,
+// byte for byte, at 1 and at 8 threads. The tied-data forest, tree and
+// evaluator goldens were captured from the split search that sorted
+// (value, y) pairs of doubles at every node. The RIFS goldens (l2,1 solver,
 // moment-matched noise, RunRifs selection) pin the solver and sampler
 // loops the same way. See tools/capture_goldens.cc for
 // how to regenerate them (only on an intentional output change).
@@ -62,6 +64,33 @@ TEST(GoldenKernelsTest, ForestPredictionsBitIdenticalSingleThread) {
 TEST(GoldenKernelsTest, ForestPredictionsBitIdenticalEightThreads) {
   EXPECT_EQ(golden::GoldenForestPredictions(8),
             ReadGolden("forest_predictions.txt"));
+}
+
+// The tied goldens pin the split search on the cases its ordering
+// argument covers (DESIGN.md "Columnar split search"): ties in value and
+// in (value, y), -0.0 beside +0.0, NaN payloads and bootstrap duplicates.
+TEST(GoldenKernelsTest, TiedRegressionForestBitIdentical) {
+  EXPECT_EQ(golden::GoldenTiedRegressionForest(1),
+            ReadGolden("forest_tied_regression.txt"));
+  EXPECT_EQ(golden::GoldenTiedRegressionForest(8),
+            ReadGolden("forest_tied_regression.txt"));
+}
+
+TEST(GoldenKernelsTest, TiedClassificationForestBitIdentical) {
+  EXPECT_EQ(golden::GoldenTiedClassificationForest(1),
+            ReadGolden("forest_tied_classification.txt"));
+  EXPECT_EQ(golden::GoldenTiedClassificationForest(8),
+            ReadGolden("forest_tied_classification.txt"));
+}
+
+TEST(GoldenKernelsTest, TiedRegressionTreeBitIdentical) {
+  EXPECT_EQ(golden::GoldenTiedRegressionTree(),
+            ReadGolden("tree_tied_regression.txt"));
+}
+
+TEST(GoldenKernelsTest, EvaluatorScoresBitIdentical) {
+  EXPECT_EQ(golden::GoldenEvaluatorScores(),
+            ReadGolden("evaluator_scores.txt"));
 }
 
 TEST(GoldenKernelsTest, HardJoinBitIdentical) {
@@ -137,6 +166,16 @@ TEST(GoldenKernelsTest, GoldensAreSimdLevelInvariant) {
               ReadGolden("forest_predictions.txt"));
     EXPECT_EQ(golden::GoldenForestPredictions(8),
               ReadGolden("forest_predictions.txt"));
+    EXPECT_EQ(golden::GoldenTiedRegressionTree(),
+              ReadGolden("tree_tied_regression.txt"));
+    for (size_t threads : {size_t{1}, size_t{8}}) {
+      EXPECT_EQ(golden::GoldenTiedRegressionForest(threads),
+                ReadGolden("forest_tied_regression.txt"));
+      EXPECT_EQ(golden::GoldenTiedClassificationForest(threads),
+                ReadGolden("forest_tied_classification.txt"));
+    }
+    EXPECT_EQ(golden::GoldenEvaluatorScores(),
+              ReadGolden("evaluator_scores.txt"));
     EXPECT_EQ(golden::GoldenSparseRegression(golden::GoldenRegressionData()),
               ReadGolden("sparse_regression_regression.txt"));
     EXPECT_EQ(golden::GoldenSparseRegression(

@@ -51,6 +51,13 @@ int main(int argc, char** argv) {
   WriteFile(dir, "tree_regression.txt", golden::GoldenRegressionTree());
   WriteFile(dir, "forest_predictions.txt",
             golden::GoldenForestPredictions(1));
+  WriteFile(dir, "forest_tied_regression.txt",
+            golden::GoldenTiedRegressionForest(1));
+  WriteFile(dir, "forest_tied_classification.txt",
+            golden::GoldenTiedClassificationForest(1));
+  WriteFile(dir, "tree_tied_regression.txt",
+            golden::GoldenTiedRegressionTree());
+  WriteFile(dir, "evaluator_scores.txt", golden::GoldenEvaluatorScores());
   WriteFile(dir, "join_hard.csv", golden::GoldenHardJoinCsv());
   WriteFile(dir, "join_soft.csv", golden::GoldenSoftJoinCsv());
   WriteFile(dir, "join_geo.csv", golden::GoldenGeoJoinCsv());
