@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <numeric>
 
 #include "simd/simd.h"
 #include "util/check.h"
@@ -15,74 +15,10 @@ namespace arda::ml {
 
 namespace {
 
-// Monotone map from double to uint64_t: a < b (as doubles) iff
-// OrderedBits(a) < OrderedBits(b), except that -0.0 orders before +0.0
-// where operator< calls them equal. The threshold scan never distinguishes
-// the two (equal values merge into one run), so the scan output is
-// unaffected by that tie order. Every NaN maps to the single largest key,
-// defining the tree-wide NaN ordering: NaN sorts after +inf and all NaNs
-// are equal (raw bit-pattern ordering would scatter negative-sign NaNs
-// below -inf, diverging from the per-node comparison sort).
-uint64_t OrderedBits(double d) {
-  if (std::isnan(d)) return ~0ull;
-  uint64_t b;
-  std::memcpy(&b, &d, sizeof(b));
-  return (b & 0x8000000000000000ull) ? ~b : (b | 0x8000000000000000ull);
-}
-
-// The comparison-sort side of the same ordering: a strict weak order that
-// matches operator< on non-NaN values and places NaN last, all NaNs tied.
-// (Plain operator< is not a strict weak order once NaN appears, so the
-// per-node std::sort would otherwise be undefined and could disagree with
-// the radix presort.)
-bool NanAwareLess(double a, double b) {
-  if (std::isnan(a) || std::isnan(b)) return !std::isnan(a);
-  return a < b;
-}
-
-// Equality under the same ordering: operator== on reals (so -0.0 and +0.0
-// still merge into one threshold run) and all NaNs equal to each other.
+// Equality under the split search's order: operator== on reals (so -0.0
+// and +0.0 merge into one threshold run) and all NaNs equal to each other.
 bool SameValue(double a, double b) {
   return a == b || (std::isnan(a) && std::isnan(b));
-}
-
-// Stable LSD radix sort by key; within equal keys the input order is kept,
-// so (OrderedBits(value), row) pairs built in ascending row order come out
-// exactly like std::sort over (value, row). Digits whose byte is constant
-// across all keys (the common case for exponent bytes) are skipped.
-void RadixSortByKey(std::vector<std::pair<uint64_t, uint32_t>>* a,
-                    std::vector<std::pair<uint64_t, uint32_t>>* tmp) {
-  const size_t n = a->size();
-  if (n < 2) return;
-  tmp->resize(n);
-  size_t hist[8][256] = {};
-  for (const auto& kv : *a) {
-    for (size_t d = 0; d < 8; ++d) ++hist[d][(kv.first >> (8 * d)) & 0xFF];
-  }
-  auto* src = a;
-  auto* dst = tmp;
-  for (size_t d = 0; d < 8; ++d) {
-    const size_t* h = hist[d];
-    if (h[(src->front().first >> (8 * d)) & 0xFF] == n) continue;
-    size_t pos[256];
-    size_t sum = 0;
-    for (size_t b = 0; b < 256; ++b) {
-      pos[b] = sum;
-      sum += h[b];
-    }
-    for (const auto& kv : *src) {
-      (*dst)[pos[(kv.first >> (8 * d)) & 0xFF]++] = kv;
-    }
-    std::swap(src, dst);
-  }
-  if (src != a) a->swap(*tmp);
-}
-
-// Counts per integer class label; labels are assumed in [0, num_classes).
-size_t NumClassesIn(const std::vector<double>& y) {
-  double max_label = 0.0;
-  for (double v : y) max_label = std::max(max_label, v);
-  return static_cast<size_t>(std::lround(max_label)) + 1;
 }
 
 double GiniTimesCount(const std::vector<double>& counts, double total) {
@@ -97,114 +33,84 @@ double GiniTimesCount(const std::vector<double>& counts, double total) {
 DecisionTree::DecisionTree(const TreeConfig& config) : config_(config) {}
 
 void DecisionTree::Fit(const la::Matrix& x, const std::vector<double>& y) {
+  ARDA_CHECK_EQ(x.rows(), y.size());
+  TrainingView view(x, y, config_.task);
+  std::vector<size_t> rows(x.rows());
+  std::iota(rows.begin(), rows.end(), size_t{0});
+  Fit(view, std::move(rows));
+}
+
+void DecisionTree::Fit(const TrainingView& view, std::vector<size_t> rows) {
   trace::TraceSpan fit_span("tree.fit", "ml");
   Stopwatch fit_watch;
-  ARDA_CHECK_EQ(x.rows(), y.size());
-  ARDA_CHECK_GT(x.rows(), 0u);
+  ARDA_CHECK(view.task() == config_.task);
+  ARDA_CHECK_GT(rows.size(), 0u);
+  view.EnsureRanked(1);
+  view_ = &view;
   nodes_.clear();
-  num_features_ = x.cols();
+  num_features_ = view.cols();
   importances_.assign(num_features_, 0.0);
-  const size_t n = x.rows();
-  num_rows_ = n;
-  ARDA_CHECK_LT(n, static_cast<size_t>(UINT32_MAX));
+  const size_t m = rows.size();
+  num_rows_ = m;
 
-  // Column-major working copy: every split-search access from here on
-  // touches one contiguous feature column.
-  columns_.resize(num_features_ * n);
-  constexpr size_t kTile = 64;  // bounds live write streams during transpose
-  for (size_t f0 = 0; f0 < num_features_; f0 += kTile) {
-    const size_t f1 = std::min(num_features_, f0 + kTile);
-    for (size_t r = 0; r < n; ++r) {
-      const double* row = x.RowPtr(r);
-      for (size_t f = f0; f < f1; ++f) columns_[f * n + r] = row[f];
-    }
-  }
-
-  num_classes_ =
-      config_.task == TaskType::kClassification ? NumClassesIn(y) : 0;
-  if (num_classes_ > 0) {
+  num_classes_ = 0;
+  if (config_.task == TaskType::kClassification) {
+    const uint32_t* labels = view.labels();
+    uint32_t max_label = 0;
+    for (size_t row : rows) max_label = std::max(max_label, labels[row]);
+    num_classes_ = size_t{max_label} + 1;
     class_counts_.resize(num_classes_);
     left_counts_.resize(num_classes_);
-    labels_.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      labels_[i] = static_cast<uint32_t>(std::lround(y[i]));
-    }
-    labs_.resize(n);
   }
-  vals_.resize(n);
-  ys_.resize(n);
+  vals_.resize(m);
+  ys_.resize(m);
 
   // Pre-sorting every feature pays off exactly when every feature is a
-  // split candidate at every node; with per-node feature subsampling the
-  // O(F n log n) sort would outweigh the scan savings on the sampled
-  // sqrt(F) features, so that case keeps the per-node sort.
+  // split candidate at every node; with per-node feature subsampling,
+  // ordering all F features would outweigh the scan savings on the
+  // sampled sqrt(F), so that case sorts the sampled features' ranks per
+  // node instead.
   presorted_ =
       config_.max_features == 0 || config_.max_features >= num_features_;
   if (presorted_) {
-    feat_order_.resize(num_features_ * n);
-    if (num_classes_ > 0) {
-      // Class counts are additive, so the scan result does not depend on
-      // the order of rows within an equal-value run; (value, row) is
-      // enough and a stable radix sort on the order-preserving bit pattern
-      // reproduces it without comparisons.
-      std::vector<std::pair<uint64_t, uint32_t>> keys(n), radix_tmp;
-      for (size_t f = 0; f < num_features_; ++f) {
-        const double* col = columns_.data() + f * n;
-        for (size_t i = 0; i < n; ++i) {
-          keys[i] = {OrderedBits(col[i]), static_cast<uint32_t>(i)};
-        }
-        RadixSortByKey(&keys, &radix_tmp);
-        uint32_t* slice = feat_order_.data() + f * n;
-        for (size_t i = 0; i < n; ++i) slice[i] = keys[i].second;
+    // Counting sort of the fitted rows by rank, stable in `rows` order.
+    // Which order tied rows take cannot change a scan: rows of one rank
+    // are interchangeable (TrainingView), and classification scans only
+    // at value-run boundaries.
+    feat_order_.resize(num_features_ * m);
+    for (size_t f = 0; f < num_features_; ++f) {
+      const uint32_t* ranks = view.ranks(f);
+      const size_t num_ranks = view.num_ranks(f);
+      rank_counts_.assign(num_ranks + 1, 0);
+      for (size_t row : rows) ++rank_counts_[ranks[row] + 1];
+      for (size_t r = 1; r < num_ranks; ++r) {
+        rank_counts_[r] += rank_counts_[r - 1];
       }
-    } else {
-      // Regression sums targets in scan order, so ties must be ordered by
-      // target to reproduce the (value, y) pair sort of the per-node mode
-      // bit for bit; the row id makes the permutation unique.
-      struct SortKey {
-        double v;
-        double y;
-        uint32_t row;
-      };
-      std::vector<SortKey> keys(n);
-      for (size_t f = 0; f < num_features_; ++f) {
-        const double* col = columns_.data() + f * n;
-        for (size_t i = 0; i < n; ++i) {
-          keys[i] = {col[i], y[i], static_cast<uint32_t>(i)};
-        }
-        std::sort(keys.begin(), keys.end(),
-                  [](const SortKey& a, const SortKey& b) {
-                    if (NanAwareLess(a.v, b.v)) return true;
-                    if (NanAwareLess(b.v, a.v)) return false;
-                    if (NanAwareLess(a.y, b.y)) return true;
-                    if (NanAwareLess(b.y, a.y)) return false;
-                    return a.row < b.row;
-                  });
-        uint32_t* slice = feat_order_.data() + f * n;
-        for (size_t i = 0; i < n; ++i) slice[i] = keys[i].row;
+      uint32_t* slice = feat_order_.data() + f * m;
+      for (size_t row : rows) {
+        slice[rank_counts_[ranks[row]]++] = static_cast<uint32_t>(row);
       }
     }
-    part_tmp_.resize(n);
-    left_mask_.assign(n, 0);
+    part_tmp_.resize(m);
+    left_mask_.assign(view.rows(), 0);
+  } else {
+    node_ranks_.resize(m);
   }
 
-  std::vector<size_t> indices(n);
-  for (size_t i = 0; i < indices.size(); ++i) indices[i] = i;
   Rng rng(config_.seed);
-  BuildNode(x, y, &indices, 0, indices.size(), 0, &rng);
+  BuildNode(&rows, 0, m, 0, &rng);
 
   // Release fit-time scratch.
-  columns_ = {};
-  labels_ = {};
+  view_ = nullptr;
   feat_order_ = {};
   part_tmp_ = {};
   left_mask_ = {};
+  node_ranks_ = {};
+  rank_counts_ = {};
   vals_ = {};
   ys_ = {};
-  labs_ = {};
   class_counts_ = {};
   left_counts_ = {};
-  sort_buf_ = {};
 
   double total = 0.0;
   for (double v : importances_) total += v;
@@ -221,12 +127,43 @@ void DecisionTree::Fit(const la::Matrix& x, const std::vector<double>& y) {
   fit_hist.Observe(fit_watch.ElapsedSeconds());
 }
 
+bool DecisionTree::GatherSorted(size_t f, const std::vector<size_t>& indices,
+                                size_t begin, size_t end) {
+  const TrainingView& view = *view_;
+  const uint32_t* ranks = view.ranks(f);
+  const double* rank_values = view.rank_values(f);
+  const size_t count = end - begin;
+  uint32_t* sorted = node_ranks_.data();
+  if (4 * count >= view.rows()) {
+    // Ranks are below num_ranks <= n, so on a node this large one counting
+    // pass over the ranks beats a comparison sort.
+    const size_t num_ranks = view.num_ranks(f);
+    rank_counts_.assign(num_ranks, 0);
+    for (size_t i = begin; i < end; ++i) ++rank_counts_[ranks[indices[i]]];
+    uint32_t* out = sorted;
+    for (size_t r = 0; r < num_ranks; ++r) {
+      out = std::fill_n(out, rank_counts_[r], static_cast<uint32_t>(r));
+    }
+  } else {
+    for (size_t i = 0; i < count; ++i) sorted[i] = ranks[indices[begin + i]];
+    std::sort(sorted, sorted + count);
+  }
+  if (SameValue(rank_values[sorted[0]], rank_values[sorted[count - 1]])) {
+    return false;  // constant feature (an all-NaN column counts)
+  }
+  // Pure gather (no accumulation), so the vector path is exact.
+  simd::GatherValsTargets(rank_values, view.rank_targets(f), sorted, count,
+                          vals_.data(), ys_.data());
+  return true;
+}
+
 void DecisionTree::ScanThresholds(size_t count, size_t feature,
                                   double node_impurity,
                                   const double* class_counts,
                                   double* best_gain, size_t* best_feature,
                                   double* best_threshold) {
   const double* vals = vals_.data();
+  const double* ys = ys_.data();
   // ClassSquares' vector path regroups the accumulation across lanes; with
   // whole-number counts < 2^26 every partial sum of squares is an exact
   // integer < 2^53, so the regrouping cannot change the result (simd.h
@@ -234,12 +171,11 @@ void DecisionTree::ScanThresholds(size_t count, size_t feature,
   // dispatch levels take the same branch, so outputs stay level-invariant.
   const bool exact_counts = count < (size_t{1} << 26);
   if (num_classes_ > 0) {
-    const uint32_t* labs = labs_.data();
     std::fill(left_counts_.begin(), left_counts_.end(), 0.0);
     double* left_counts = left_counts_.data();
     double left_n = 0.0;
     for (size_t i = 0; i + 1 < count; ++i) {
-      left_counts[labs[i]] += 1.0;
+      left_counts[static_cast<size_t>(ys[i])] += 1.0;
       left_n += 1.0;
       if (vals[i] == vals[i + 1]) continue;
       const double right_n = static_cast<double>(count) - left_n;
@@ -272,7 +208,6 @@ void DecisionTree::ScanThresholds(size_t count, size_t feature,
       }
     }
   } else {
-    const double* ys = ys_.data();
     double total_sum = 0.0, total_sq = 0.0;
     for (size_t i = 0; i < count; ++i) {
       total_sum += ys[i];
@@ -304,24 +239,25 @@ void DecisionTree::ScanThresholds(size_t count, size_t feature,
   }
 }
 
-int DecisionTree::BuildNode(const la::Matrix& x, const std::vector<double>& y,
-                            std::vector<size_t>* indices, size_t begin,
+int DecisionTree::BuildNode(std::vector<size_t>* indices, size_t begin,
                             size_t end, size_t depth, Rng* rng) {
   const size_t count = end - begin;
   ARDA_CHECK_GT(count, 0u);
   const int node_id = static_cast<int>(nodes_.size());
   nodes_.emplace_back();
 
+  const TrainingView& view = *view_;
   const bool classification = num_classes_ > 0;
-  const size_t n = num_rows_;
+  const size_t m = num_rows_;
 
   // Node statistics: impurity (scaled by count) and the leaf prediction.
   double node_impurity = 0.0;
   double leaf_value = 0.0;
   if (classification) {
+    const uint32_t* labels = view.labels();
     std::fill(class_counts_.begin(), class_counts_.end(), 0.0);
     for (size_t i = begin; i < end; ++i) {
-      class_counts_[labels_[(*indices)[i]]] += 1.0;
+      class_counts_[labels[(*indices)[i]]] += 1.0;
     }
     node_impurity = GiniTimesCount(class_counts_, static_cast<double>(count));
     size_t best_class = 0;
@@ -330,6 +266,7 @@ int DecisionTree::BuildNode(const la::Matrix& x, const std::vector<double>& y,
     }
     leaf_value = static_cast<double>(best_class);
   } else {
+    const double* y = view.targets();
     double sum = 0.0, sum_sq = 0.0;
     for (size_t i = begin; i < end; ++i) {
       double v = y[(*indices)[i]];
@@ -361,24 +298,25 @@ int DecisionTree::BuildNode(const la::Matrix& x, const std::vector<double>& y,
   const size_t num_candidates = presorted_ ? num_features_ : sampled.size();
   for (size_t fi = 0; fi < num_candidates; ++fi) {
     const size_t f = presorted_ ? fi : sampled[fi];
-    const double* col = columns_.data() + f * n;
     if (presorted_) {
-      const uint32_t* slice = feat_order_.data() + f * n + begin;
+      const double* col = view.column(f);
+      const uint32_t* slice = feat_order_.data() + f * m + begin;
       if (SameValue(col[slice[0]], col[slice[count - 1]])) continue;
       if (classification) {
         // Fused gather + threshold scan: each sorted row is touched once
-        // instead of being staged through vals_/labs_. The arithmetic is
+        // instead of being staged through vals_/ys_. The arithmetic is
         // the same as ScanThresholds' classification branch, including its
         // exact_counts guard around the SIMD class-square reduction.
         const bool exact_counts = count < (size_t{1} << 26);
         std::fill(left_counts_.begin(), left_counts_.end(), 0.0);
         double* left_counts = left_counts_.data();
         const double* class_counts = class_counts_.data();
+        const uint32_t* labels = view.labels();
         double left_n = 0.0;
         double v = col[slice[0]];
         for (size_t i = 0; i + 1 < count; ++i) {
           const double v_next = col[slice[i + 1]];
-          left_counts[labels_[slice[i]]] += 1.0;
+          left_counts[labels[slice[i]]] += 1.0;
           left_n += 1.0;
           if (v != v_next) {
             const double right_n = static_cast<double>(count) - left_n;
@@ -413,33 +351,11 @@ int DecisionTree::BuildNode(const la::Matrix& x, const std::vector<double>& y,
         continue;
       } else {
         // Pure gather (no accumulation), so the vector path is exact.
-        simd::GatherValsTargets(col, y.data(), slice, count, vals_.data(),
-                                ys_.data());
+        simd::GatherValsTargets(col, view.targets(), slice, count,
+                                vals_.data(), ys_.data());
       }
-    } else {
-      sort_buf_.resize(count);
-      for (size_t i = 0; i < count; ++i) {
-        size_t row = (*indices)[begin + i];
-        sort_buf_[i] = {col[row], y[row]};
-      }
-      std::sort(sort_buf_.begin(), sort_buf_.end(),
-                [](const std::pair<double, double>& a,
-                   const std::pair<double, double>& b) {
-                  if (NanAwareLess(a.first, b.first)) return true;
-                  if (NanAwareLess(b.first, a.first)) return false;
-                  return NanAwareLess(a.second, b.second);
-                });
-      if (SameValue(sort_buf_.front().first, sort_buf_.back().first)) {
-        continue;  // constant feature (an all-NaN column counts)
-      }
-      for (size_t i = 0; i < count; ++i) {
-        vals_[i] = sort_buf_[i].first;
-        if (classification) {
-          labs_[i] = static_cast<uint32_t>(std::lround(sort_buf_[i].second));
-        } else {
-          ys_[i] = sort_buf_[i].second;
-        }
-      }
+    } else if (!GatherSorted(f, *indices, begin, end)) {
+      continue;
     }
     ScanThresholds(count, f, node_impurity, class_counts_.data(), &best_gain,
                    &best_feature, &best_threshold);
@@ -450,7 +366,7 @@ int DecisionTree::BuildNode(const la::Matrix& x, const std::vector<double>& y,
   }
 
   // Partition index range by the chosen split.
-  const double* best_col = columns_.data() + best_feature * n;
+  const double* best_col = view.column(best_feature);
   auto middle = std::partition(
       indices->begin() + static_cast<ptrdiff_t>(begin),
       indices->begin() + static_cast<ptrdiff_t>(end),
@@ -465,7 +381,7 @@ int DecisionTree::BuildNode(const la::Matrix& x, const std::vector<double>& y,
     for (size_t i = begin; i < mid; ++i) left_mask_[(*indices)[i]] = 1;
     for (size_t i = mid; i < end; ++i) left_mask_[(*indices)[i]] = 0;
     for (size_t f = 0; f < num_features_; ++f) {
-      uint32_t* slice = feat_order_.data() + f * n;
+      uint32_t* slice = feat_order_.data() + f * m;
       size_t out = begin;
       size_t spilled = 0;
       for (size_t i = begin; i < end; ++i) {
@@ -489,8 +405,8 @@ int DecisionTree::BuildNode(const la::Matrix& x, const std::vector<double>& y,
   nodes_[node_id].is_leaf = false;
   nodes_[node_id].feature = best_feature;
   nodes_[node_id].threshold = best_threshold;
-  int left = BuildNode(x, y, indices, begin, mid, depth + 1, rng);
-  int right = BuildNode(x, y, indices, mid, end, depth + 1, rng);
+  int left = BuildNode(indices, begin, mid, depth + 1, rng);
+  int right = BuildNode(indices, mid, end, depth + 1, rng);
   nodes_[node_id].left = left;
   nodes_[node_id].right = right;
   return node_id;

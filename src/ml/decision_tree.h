@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "ml/model.h"
+#include "ml/training_view.h"
 #include "simd/aligned.h"
 #include "util/rng.h"
 
@@ -30,14 +31,20 @@ struct TreeConfig {
 /// impurity-based feature importances (both needed by the random forest
 /// and the RIFS ranking ensemble).
 ///
-/// Split search runs in one of two modes with bit-identical results (see
-/// DESIGN.md "Columnar split search"):
+/// A tree fits on rows of a ranked TrainingView: Fit(x, y) builds one for
+/// its own matrix, a random forest hands every tree the same view and the
+/// tree's bootstrap rows. Split search orders rows by the view's 32-bit
+/// (value, target) ranks, never by comparing doubles, in one of two modes
+/// with bit-identical results (see DESIGN.md "Columnar split search"):
 ///  - pre-sorted (every feature is a candidate at every node, the single
-///    tree / gradient-boosting case): each feature's rows are sorted once
-///    per tree, and every node scans its contiguous slice of the sorted
-///    index in O(n) after an O(n) stable partition per split;
-///  - per-node sort (random-forest feature subsampling): the classic
-///    gather-and-sort over only the sampled features.
+///    tree / gradient-boosting case): each feature's rows are ordered once
+///    per tree by a counting sort of their ranks, and every node scans its
+///    contiguous slice of that order in O(n) after an O(n) stable
+///    partition per split;
+///  - per-node (random-forest feature subsampling): each node gathers the
+///    sampled features' ranks of its rows, sorts them (a counting sort
+///    when the node holds at least a quarter of the view's rows) and reads
+///    the values and targets back from the view's rank tables.
 ///
 /// NaN feature values are ordered identically in both modes: every NaN
 /// sorts after +inf and all NaNs compare equal, thresholds are never
@@ -48,6 +55,13 @@ class DecisionTree : public Model {
   explicit DecisionTree(const TreeConfig& config);
 
   void Fit(const la::Matrix& x, const std::vector<double>& y) override;
+
+  /// Fits on `rows` of `view` (indices into it; repeats allowed, as in a
+  /// bootstrap sample). Bit-identical to Fit on the matrix of those rows,
+  /// in that order, restricted to the view's columns. Ranks any column of
+  /// the view not ranked yet.
+  void Fit(const TrainingView& view, std::vector<size_t> rows);
+
   std::vector<double> Predict(const la::Matrix& x) const override;
 
   /// Total impurity decrease attributed to each feature during Fit,
@@ -75,13 +89,20 @@ class DecisionTree : public Model {
     int right = -1;
   };
 
-  int BuildNode(const la::Matrix& x, const std::vector<double>& y,
-                std::vector<size_t>* indices, size_t begin, size_t end,
+  int BuildNode(std::vector<size_t>* indices, size_t begin, size_t end,
                 size_t depth, Rng* rng);
 
+  /// Sorts the ranks of feature f over the node rows indices[begin, end)
+  /// and gathers their values and targets, in ascending (value, target)
+  /// order, into vals_/ys_[0, end - begin). Returns false (gathering
+  /// nothing) when the feature is constant on the node.
+  bool GatherSorted(size_t f, const std::vector<size_t>& indices,
+                    size_t begin, size_t end);
+
   /// Scans the candidate thresholds of one feature whose node rows have
-  /// been gathered, in ascending (value, y) order, into vals_/ys_[0,count).
-  /// Updates best_* when a better split is found.
+  /// been gathered, in ascending (value, target) order, into
+  /// vals_/ys_[0, count); for classification ys_ holds the labels. Updates
+  /// best_* when a better split is found.
   void ScanThresholds(size_t count, size_t feature, double node_impurity,
                       const double* class_counts, double* best_gain,
                       size_t* best_feature, double* best_threshold);
@@ -92,27 +113,23 @@ class DecisionTree : public Model {
   size_t num_features_ = 0;
 
   // --- Fit-time state (released when Fit returns). ---
+  const TrainingView* view_ = nullptr;
+  size_t num_rows_ = 0;     // fitted rows (m), repeats included
   size_t num_classes_ = 0;  // classification only; hoisted out of BuildNode
   bool presorted_ = false;
-  size_t num_rows_ = 0;
-  /// Column-major copy of the training matrix: feature f's values live in
-  /// [f * n, (f+1) * n), so split-search gathers stay inside one cache-hot
-  /// column instead of striding across rows. 64-byte aligned: the SIMD
-  /// gather/scan kernels read these with full-width loads.
-  simd::AlignedVector<double> columns_;
-  std::vector<uint32_t> labels_;     // lround(y), classification only
-  /// Pre-sorted mode: feature-major [f * n, (f+1) * n) row ids, each
-  /// feature slice sorted by (value, y, row). Node ranges [begin, end)
-  /// index into every feature slice simultaneously.
+  /// Pre-sorted mode: feature-major [f * m, (f+1) * m) view rows for the
+  /// m fitted rows, each feature slice in ascending rank order. Node
+  /// ranges [begin, end) index into every feature slice simultaneously.
   simd::AlignedVector<uint32_t> feat_order_;
   std::vector<uint32_t> part_tmp_;   // stable-partition scratch
-  std::vector<uint8_t> left_mask_;   // per-row split side of current node
+  std::vector<uint8_t> left_mask_;   // per view row split side of a node
+  /// Per-node mode: one node's ranks of one feature, then sorted.
+  std::vector<uint32_t> node_ranks_;
+  std::vector<uint32_t> rank_counts_;  // counting-sort histogram
   simd::AlignedVector<double> vals_; // gathered feature values, one node
   simd::AlignedVector<double> ys_;   // gathered targets, one node
-  std::vector<uint32_t> labs_;       // gathered labels, one node
   std::vector<double> class_counts_; // node label histogram
   std::vector<double> left_counts_;  // running left label histogram
-  std::vector<std::pair<double, double>> sort_buf_;  // per-node sort mode
 };
 
 }  // namespace arda::ml

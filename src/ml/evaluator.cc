@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "ml/metrics.h"
-#include "ml/random_forest.h"
 #include "ml/svm_rbf.h"
 #include "util/check.h"
 
@@ -11,20 +10,31 @@ namespace arda::ml {
 
 Evaluator::Evaluator(const Dataset& data, double test_fraction,
                      uint64_t seed)
-    : seed_(seed) {
+    : seed_(seed), train_view_(std::make_shared<LazyView>()) {
   Rng rng(seed);
   TrainTestSplit split = MakeTrainTestSplit(data, test_fraction, &rng);
   train_ = std::move(split.train);
   test_ = std::move(split.test);
 }
 
-std::unique_ptr<Model> Evaluator::MakeDefaultModel() const {
+ForestConfig Evaluator::DefaultForestConfig() const {
   ForestConfig config;
   config.task = train_.task;
   config.num_trees = 24;
   config.max_depth = 10;
   config.seed = seed_ ^ 0xA5A5A5A5ULL;
-  return std::make_unique<RandomForest>(config);
+  return config;
+}
+
+std::unique_ptr<Model> Evaluator::MakeDefaultModel() const {
+  return std::make_unique<RandomForest>(DefaultForestConfig());
+}
+
+TrainingView Evaluator::TrainView(const std::vector<size_t>& features) const {
+  std::call_once(train_view_->once, [&] {
+    train_view_->view.emplace(train_.x, train_.y, train_.task);
+  });
+  return train_view_->view->Select(features);
 }
 
 double Evaluator::ScoreModel(Model* model,
@@ -37,9 +47,18 @@ double Evaluator::ScoreModel(Model* model,
   return HigherIsBetterScore(train_.task, test_sub.y, pred);
 }
 
+double Evaluator::ScoreForest(RandomForest* forest,
+                              const std::vector<size_t>& features) const {
+  ARDA_CHECK(!features.empty());
+  forest->Fit(TrainView(features));
+  la::Matrix test_x = test_.x.SelectCols(features);
+  std::vector<double> pred = forest->Predict(test_x);
+  return HigherIsBetterScore(train_.task, test_.y, pred);
+}
+
 double Evaluator::ScoreFeatures(const std::vector<size_t>& features) const {
-  std::unique_ptr<Model> model = MakeDefaultModel();
-  return ScoreModel(model.get(), features);
+  RandomForest forest(DefaultForestConfig());
+  return ScoreForest(&forest, features);
 }
 
 double Evaluator::ScoreAllFeatures() const {
@@ -55,7 +74,7 @@ double Evaluator::FinalScore(const std::vector<size_t>& features) const {
     config.max_depth = depth;
     config.seed = seed_ ^ (0xC3C3ULL + depth);
     RandomForest forest(config);
-    best = std::max(best, ScoreModel(&forest, features));
+    best = std::max(best, ScoreForest(&forest, features));
   }
   if (train_.task == TaskType::kClassification &&
       train_.NumRows() <= 3000) {

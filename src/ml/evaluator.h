@@ -2,11 +2,15 @@
 #define ARDA_ML_EVALUATOR_H_
 
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <vector>
 
 #include "ml/dataset.h"
 #include "ml/model.h"
+#include "ml/random_forest.h"
 #include "ml/split.h"
+#include "ml/training_view.h"
 
 namespace arda::ml {
 
@@ -19,6 +23,13 @@ namespace arda::ml {
 ///
 /// Scores are "higher is better": accuracy for classification, negative
 /// MAE for regression (see HigherIsBetterScore).
+///
+/// The evaluator's own forests (ScoreFeatures, ScoreAllFeatures and both
+/// FinalScore forests) fit on column subsets of one ranked TrainingView of
+/// the train split, built on first use; each column is ranked the first
+/// time a subset holds it. They never copy the train split. ScoreModel
+/// (and with it FinalScore's RBF SVM) fits on a copy of the subset's
+/// columns.
 class Evaluator {
  public:
   /// Freezes a stratified train/holdout split of `data`.
@@ -40,6 +51,11 @@ class Evaluator {
   /// Holdout score of a caller-supplied model on a feature subset.
   double ScoreModel(Model* model, const std::vector<size_t>& features) const;
 
+  /// The train split's ranked view restricted to `features`, in that
+  /// order. A forest fitted on it equals, bit for bit, one fitted on
+  /// train().SelectFeatures(features).
+  TrainingView TrainView(const std::vector<size_t>& features) const;
+
   TaskType task() const { return train_.task; }
   size_t NumFeatures() const { return train_.NumFeatures(); }
   const Dataset& train() const { return train_; }
@@ -49,9 +65,20 @@ class Evaluator {
   std::unique_ptr<Model> MakeDefaultModel() const;
 
  private:
+  struct LazyView {
+    std::once_flag once;
+    std::optional<TrainingView> view;
+  };
+
+  ForestConfig DefaultForestConfig() const;
+  double ScoreForest(RandomForest* forest,
+                     const std::vector<size_t>& features) const;
+
   Dataset train_;
   Dataset test_;
   uint64_t seed_;
+  /// Shared by copies: they hold the same train split.
+  std::shared_ptr<LazyView> train_view_;
 };
 
 /// All feature indices [0, count).

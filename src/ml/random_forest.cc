@@ -14,29 +14,35 @@ RandomForest::RandomForest(const ForestConfig& config) : config_(config) {}
 
 void RandomForest::Fit(const la::Matrix& x, const std::vector<double>& y) {
   trace::StageScope scope("forest.fit");
-  metrics::IncrementCounter("ml.forest_fits_total");
   ARDA_CHECK_EQ(x.rows(), y.size());
-  ARDA_CHECK_GT(x.rows(), 0u);
+  FitTrees(TrainingView(x, y, config_.task));
+}
+
+void RandomForest::Fit(const TrainingView& view) {
+  trace::StageScope scope("forest.fit");
+  FitTrees(view);
+}
+
+void RandomForest::FitTrees(const TrainingView& view) {
+  metrics::IncrementCounter("ml.forest_fits_total");
+  ARDA_CHECK(view.task() == config_.task);
+  ARDA_CHECK_GT(view.rows(), 0u);
   ARDA_CHECK_GT(config_.num_trees, 0u);
   trees_.clear();
-  importances_.assign(x.cols(), 0.0);
-
-  if (config_.task == TaskType::kClassification) {
-    double max_label = *std::max_element(y.begin(), y.end());
-    num_classes_ = static_cast<size_t>(std::lround(max_label)) + 1;
-  }
+  importances_.assign(view.cols(), 0.0);
+  num_classes_ = view.num_classes();
 
   size_t max_features = config_.max_features;
   if (max_features == 0) {
     max_features = std::max<size_t>(
         1, static_cast<size_t>(std::lround(
-               std::sqrt(static_cast<double>(x.cols())))));
+               std::sqrt(static_cast<double>(view.cols())))));
   }
 
   Rng rng(config_.seed);
   const size_t sample_size = std::max<size_t>(
       1, static_cast<size_t>(std::lround(
-             config_.bootstrap_fraction * static_cast<double>(x.rows()))));
+             config_.bootstrap_fraction * static_cast<double>(view.rows()))));
 
   // Pre-draw every tree's bootstrap sample and seed serially, in the same
   // interleaved order the serial loop consumed the stream, so fitting is
@@ -44,7 +50,7 @@ void RandomForest::Fit(const la::Matrix& x, const std::vector<double>& y) {
   std::vector<std::vector<size_t>> bootstrap_rows(config_.num_trees);
   trees_.reserve(config_.num_trees);
   for (size_t t = 0; t < config_.num_trees; ++t) {
-    bootstrap_rows[t] = rng.SampleWithReplacement(x.rows(), sample_size);
+    bootstrap_rows[t] = rng.SampleWithReplacement(view.rows(), sample_size);
     TreeConfig tree_config;
     tree_config.task = config_.task;
     tree_config.max_depth = config_.max_depth;
@@ -54,12 +60,11 @@ void RandomForest::Fit(const la::Matrix& x, const std::vector<double>& y) {
     trees_.emplace_back(tree_config);
   }
 
+  // Every tree reads the one ranked view; its bootstrap rows are indices
+  // into it, so no tree copies the matrix.
+  view.EnsureRanked(config_.num_threads);
   ParallelFor(config_.num_trees, config_.num_threads, [&](size_t t) {
-    const std::vector<size_t>& rows = bootstrap_rows[t];
-    la::Matrix xb = x.SelectRows(rows);
-    std::vector<double> yb(rows.size());
-    for (size_t i = 0; i < rows.size(); ++i) yb[i] = y[rows[i]];
-    trees_[t].Fit(xb, yb);
+    trees_[t].Fit(view, std::move(bootstrap_rows[t]));
   });
 
   // Ordered reduction: accumulate importances in tree order, exactly as

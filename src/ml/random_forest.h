@@ -5,6 +5,7 @@
 
 #include "ml/decision_tree.h"
 #include "ml/model.h"
+#include "ml/training_view.h"
 
 namespace arda::ml {
 
@@ -29,11 +30,20 @@ struct ForestConfig {
 /// Bagged CART ensemble: majority vote for classification, mean for
 /// regression. Exposes averaged impurity importances, which both the
 /// random-forest feature ranker and RIFS consume.
+///
+/// Fit ranks one TrainingView of the training matrix and every tree fits
+/// on it, with its bootstrap sample passed as row indices into the view:
+/// no tree copies, transposes or re-sorts the matrix.
 class RandomForest : public Model {
  public:
   explicit RandomForest(const ForestConfig& config);
 
+  /// Builds a TrainingView of (x, y) and fits on it.
   void Fit(const la::Matrix& x, const std::vector<double>& y) override;
+
+  /// Fits on every row of `view` (its columns, in its order), ranking any
+  /// column not ranked yet. Bit-identical to Fit on the view's matrix.
+  void Fit(const TrainingView& view);
   std::vector<double> Predict(const la::Matrix& x) const override;
 
   /// Importances averaged over trees, normalized to sum to 1.
@@ -44,6 +54,8 @@ class RandomForest : public Model {
   size_t NumTrees() const { return trees_.size(); }
 
  private:
+  void FitTrees(const TrainingView& view);
+
   ForestConfig config_;
   std::vector<DecisionTree> trees_;
   std::vector<double> importances_;

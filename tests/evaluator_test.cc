@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+
 #include "ml/automl.h"
 #include "ml/evaluator.h"
+#include "ml/random_forest.h"
 #include "util/rng.h"
 
 namespace arda::ml {
@@ -64,6 +69,70 @@ TEST(EvaluatorTest, SplitExposesTrainAndTest) {
   EXPECT_EQ(evaluator.train().NumRows() + evaluator.test().NumRows(), 100u);
   EXPECT_EQ(evaluator.task(), TaskType::kClassification);
   EXPECT_EQ(evaluator.NumFeatures(), 2u);
+}
+
+// Wide data with ties, -0.0 beside +0.0 and NaN cells, for the view
+// equivalence test below.
+Dataset MakeTiedData(TaskType task, uint64_t seed) {
+  Rng rng(seed);
+  Dataset data;
+  data.task = task;
+  const size_t n = 160, d = 9;
+  data.x = la::Matrix(n, d);
+  data.y.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t c = 0; c < d; ++c) {
+      double v = std::round(rng.Normal() * 2.0) / 2.0;
+      if (v == 0.0 && (i + c) % 2 == 0) v = -0.0;
+      if ((i + 3 * c) % 11 == 0) v = std::numeric_limits<double>::quiet_NaN();
+      data.x(i, c) = v;
+    }
+    const double signal = std::isnan(data.x(i, 0)) ? 0.0 : data.x(i, 0);
+    data.y[i] = task == TaskType::kClassification
+                    ? static_cast<double>(rng.UniformUint64(2) +
+                                          (signal > 0.0 ? 1 : 0))
+                    : std::round(4.0 * (signal + rng.Normal(0.0, 0.5))) / 4.0;
+  }
+  for (size_t c = 0; c < d; ++c) {
+    data.feature_names.push_back("f" + std::to_string(c));
+  }
+  return data;
+}
+
+std::string Bits(const std::vector<double>& v) {
+  std::string out(v.size() * sizeof(double), '\0');
+  if (!v.empty()) std::memcpy(out.data(), v.data(), out.size());
+  return out;
+}
+
+TEST(EvaluatorTest, ForestOnSubsetViewEqualsForestOnSelectedFeatures) {
+  for (TaskType task : {TaskType::kRegression, TaskType::kClassification}) {
+    Dataset data = MakeTiedData(task, 31);
+    Evaluator evaluator(data, 0.25, 7);
+    Rng rng(41);
+    // Seeded random subsets in random order; earlier subsets leave some
+    // columns ranked and others not, so lazy ranking is exercised too.
+    for (size_t trial = 0; trial < 12; ++trial) {
+      const size_t size = 1 + rng.UniformUint64(data.NumFeatures());
+      std::vector<size_t> subset =
+          rng.SampleWithoutReplacement(data.NumFeatures(), size);
+      ForestConfig config;
+      config.task = task;
+      config.num_trees = 6;
+      config.seed = 100 + trial;
+      RandomForest on_view(config);
+      on_view.Fit(evaluator.TrainView(subset));
+      Dataset train_sub = evaluator.train().SelectFeatures(subset);
+      RandomForest on_copy(config);
+      on_copy.Fit(train_sub.x, train_sub.y);
+      la::Matrix test_x = evaluator.test().x.SelectCols(subset);
+      SCOPED_TRACE(std::string(TaskTypeName(task)) + " trial " +
+                   std::to_string(trial));
+      EXPECT_EQ(Bits(on_view.Predict(test_x)), Bits(on_copy.Predict(test_x)));
+      EXPECT_EQ(Bits(on_view.feature_importances()),
+                Bits(on_copy.feature_importances()));
+    }
+  }
 }
 
 TEST(AllFeatureIndicesTest, Basic) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "ml/decision_tree.h"
@@ -9,6 +10,7 @@
 #include "ml/random_forest.h"
 #include "ml/sparse_regression.h"
 #include "ml/svm_rbf.h"
+#include "ml/training_view.h"
 #include "util/rng.h"
 
 namespace arda::ml {
@@ -442,6 +444,114 @@ TEST(DecisionTreeNanTest, AllNanColumnIsTreatedAsConstant) {
   EXPECT_GT(tree.NumNodes(), 1u);
   EXPECT_EQ(tree.feature_importances()[0], 0.0);
   EXPECT_GT(tree.feature_importances()[1], 0.0);
+}
+
+// --- TrainingView ranks (see training_view.h): the rank of (value,
+// target) must order rows exactly as the split search's pair order does,
+// with -0.0 tied to +0.0 and every NaN tied and last. ---
+
+// The pair order, written out as a reference: NaN after everything, all
+// NaNs equal, operator< elsewhere (so -0.0 == +0.0); value first, then
+// target.
+int ComparePairs(double va, double ya, double vb, double yb) {
+  auto cmp = [](double a, double b) {
+    if (std::isnan(a) || std::isnan(b)) {
+      return std::isnan(a) == std::isnan(b) ? 0 : (std::isnan(a) ? 1 : -1);
+    }
+    return a < b ? -1 : (b < a ? 1 : 0);
+  };
+  int c = cmp(va, vb);
+  return c != 0 ? c : cmp(ya, yb);
+}
+
+double NanWithBits(uint64_t bits) {
+  double d;
+  std::memcpy(&d, &bits, sizeof(d));
+  return d;
+}
+
+TEST(TrainingViewTest, RanksMatchPairOrderOracle) {
+  const double kValues[] = {-1.5,
+                            -0.0,
+                            0.0,
+                            2.25,
+                            std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity(),
+                            NanWithBits(0x7ff8000000000000ull),
+                            NanWithBits(0x7ff8000000000042ull),
+                            NanWithBits(0xfff8000000000000ull)};
+  const double kTargets[] = {-1.0, -0.0, 0.0, 0.5, 3.0};
+  for (TaskType task : {TaskType::kRegression, TaskType::kClassification}) {
+    Rng rng(task == TaskType::kRegression ? 21 : 22);
+    const size_t n = 400;
+    la::Matrix x(n, 3);
+    std::vector<double> y(n);
+    for (size_t i = 0; i < n; ++i) {
+      x(i, 0) = kValues[rng.UniformUint64(std::size(kValues))];
+      x(i, 1) = std::round(rng.Normal() * 3.0) / 3.0;
+      x(i, 2) = rng.Normal();
+      y[i] = task == TaskType::kRegression
+                 ? kTargets[rng.UniformUint64(std::size(kTargets))]
+                 : static_cast<double>(rng.UniformUint64(3));
+    }
+    TrainingView full(x, y, task);
+    // A reordered subset sharing storage: view column c is matrix column
+    // kColumns[c].
+    const std::vector<size_t> kColumns = {2, 0, 1};
+    TrainingView view = full.Select(kColumns);
+    view.EnsureRanked(2);
+    ASSERT_EQ(view.cols(), 3u);
+    ASSERT_EQ(view.rows(), n);
+    for (size_t c = 0; c < view.cols(); ++c) {
+      const size_t col = kColumns[c];
+      const uint32_t* ranks = view.ranks(c);
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_LT(ranks[i], view.num_ranks(c));
+        EXPECT_EQ(std::memcmp(&view.column(c)[i], &x(i, col), sizeof(double)),
+                  0);
+        // The tables hand back an equivalent (value, target) pair.
+        EXPECT_EQ(ComparePairs(view.rank_values(c)[ranks[i]],
+                               view.rank_targets(c)[ranks[i]], x(i, col),
+                               view.targets()[i]),
+                  0);
+      }
+      for (size_t i = 0; i < n; i += 7) {
+        for (size_t j = 0; j < n; ++j) {
+          const int order = ComparePairs(x(i, col), view.targets()[i],
+                                         x(j, col), view.targets()[j]);
+          const int rank_order =
+              ranks[i] < ranks[j] ? -1 : (ranks[i] > ranks[j] ? 1 : 0);
+          ASSERT_EQ(order, rank_order) << "column " << col << " rows " << i
+                                       << ", " << j;
+        }
+      }
+    }
+  }
+}
+
+TEST(TrainingViewTest, TreeOnViewRowsEqualsTreeOnSelectedRows) {
+  // Rows with repeats, as a bootstrap draws them: fitting on indices into
+  // the view must match fitting on the copied rows bit for bit, in both
+  // split-search modes.
+  NanData data = MakeNanData(180, 5);
+  Rng rng(8);
+  std::vector<size_t> rows = rng.SampleWithReplacement(180, 180);
+  la::Matrix xb = data.x.SelectRows(rows);
+  std::vector<double> yb;
+  for (size_t r : rows) yb.push_back(data.y[r]);
+  TrainingView view(data.x, data.y, TaskType::kRegression);
+  for (size_t max_features : {size_t{0}, size_t{1}}) {
+    TreeConfig config;
+    config.task = TaskType::kRegression;
+    config.max_features = max_features;
+    config.seed = 4;
+    DecisionTree on_view(config);
+    on_view.Fit(view, rows);
+    DecisionTree on_copy(config);
+    on_copy.Fit(xb, yb);
+    EXPECT_EQ(on_view.Serialize(), on_copy.Serialize())
+        << "max_features " << max_features;
+  }
 }
 
 }  // namespace
