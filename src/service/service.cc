@@ -1,5 +1,6 @@
 #include "service/service.h"
 
+#include <optional>
 #include <utility>
 
 #include "core/options.h"
@@ -51,31 +52,52 @@ std::string ShuttingDownResponse(const std::string& request_id) {
                         request_id);
 }
 
+// Reads an integer request field. Absent (or not a number) gives
+// `fallback`; a number whose value is not an integer in int64 range
+// (1e300, 99999999999999999999, 2.5) is an error that names the field.
+Result<int64_t> IntField(const json::Value& request, const char* field,
+                         int64_t fallback) {
+  const json::Value* value = request.Find(field);
+  if (value == nullptr || !value->is_number()) return fallback;
+  std::optional<int64_t> parsed = value->ToInt64();
+  if (!parsed.has_value()) {
+    return Status::InvalidArgument(StrFormat(
+        "\"%s\" must be an integer in int64 range, got %.17g", field,
+        value->AsDouble()));
+  }
+  return *parsed;
+}
+
 // The request fields that determine augmentation results, in their
 // canonical (CLI-equivalent) spelling. `threads` is deliberately not one
 // of them: results are thread-count-invariant, so requests differing only
-// in `threads` share a resident result.
-core::RunOptions OptionsFromRequest(const json::Value& request) {
+// in `threads` share a resident result. Seeds travel as int64 on the wire
+// and are reinterpreted as uint64, so negative seeds are valid.
+Result<core::RunOptions> OptionsFromRequest(const json::Value& request) {
   core::RunOptions options;
   options.task = request.StringOr("task", options.task);
   options.selector = request.StringOr("selector", options.selector);
   options.plan = request.StringOr("plan", options.plan);
   options.plan_order = request.StringOr("plan_order", options.plan_order);
   options.soft_join = request.StringOr("soft_join", options.soft_join);
-  options.seed = static_cast<uint64_t>(
-      request.IntOr("seed", static_cast<int64_t>(options.seed)));
-  options.num_threads = static_cast<size_t>(request.IntOr("threads", 0));
+  ARDA_ASSIGN_OR_RETURN(
+      int64_t seed,
+      IntField(request, "seed", static_cast<int64_t>(options.seed)));
+  options.seed = static_cast<uint64_t>(seed);
+  ARDA_ASSIGN_OR_RETURN(int64_t threads, IntField(request, "threads", 0));
+  options.num_threads = static_cast<size_t>(threads);
   // Like `threads`, `memory_budget` never affects results (partitioned
   // kernels are bit-identical to single-pass), so it is also excluded
   // from the canonical key below.
-  options.memory_budget_bytes =
-      static_cast<uint64_t>(request.IntOr("memory_budget", 0));
+  ARDA_ASSIGN_OR_RETURN(int64_t memory_budget,
+                        IntField(request, "memory_budget", 0));
+  options.memory_budget_bytes = static_cast<uint64_t>(memory_budget);
   return options;
 }
 
 std::string CanonicalAugmentKey(const json::Value& request,
+                                const core::RunOptions& options,
                                 uint64_t generation) {
-  const core::RunOptions options = OptionsFromRequest(request);
   std::map<std::string, json::Value> members;
   members.emplace("base",
                   json::Value::MakeString(request.StringOr("base", "")));
@@ -419,9 +441,11 @@ Result<std::string> ArdaService::HandleAugment(
   if (shutting_down_.load(std::memory_order_relaxed)) {
     return ShuttingDownResponse(request_id);
   }
+  ARDA_ASSIGN_OR_RETURN(const core::RunOptions options,
+                        OptionsFromRequest(request));
   std::shared_ptr<const Snapshot> snapshot = CurrentSnapshot();
-  const std::string key = CanonicalAugmentKey(request,
-                                              snapshot->generation);
+  const std::string key =
+      CanonicalAugmentKey(request, options, snapshot->generation);
   {
     std::lock_guard<std::mutex> lock(results_mu_);
     auto it = results_.find(key);
@@ -502,7 +526,8 @@ Result<std::string> ArdaService::RunAugment(
     return Status::InvalidArgument(
         "augment request needs \"base\" and \"target\"");
   }
-  const core::RunOptions options = OptionsFromRequest(request);
+  ARDA_ASSIGN_OR_RETURN(const core::RunOptions options,
+                        OptionsFromRequest(request));
   ARDA_ASSIGN_OR_RETURN(core::ArdaConfig config,
                         core::MakeArdaConfig(options));
   ARDA_ASSIGN_OR_RETURN(ml::TaskType task_type,

@@ -304,11 +304,21 @@ double Value::NumberOr(std::string_view key, double fallback) const {
   return (v != nullptr && v->is_number()) ? v->AsDouble() : fallback;
 }
 
+std::optional<int64_t> Value::ToInt64() const {
+  if (kind_ != Kind::kNumber) return std::nullopt;
+  if (exact_int_) return int_;
+  // [-2^63, 2^63) holds exactly the doubles that convert to int64 without
+  // overflow; both bounds are exact doubles. NaN fails every comparison.
+  constexpr double kTwoTo63 = 9223372036854775808.0;
+  if (!(number_ >= -kTwoTo63 && number_ < kTwoTo63)) return std::nullopt;
+  if (std::trunc(number_) != number_) return std::nullopt;
+  return static_cast<int64_t>(number_);
+}
+
 int64_t Value::IntOr(std::string_view key, int64_t fallback) const {
   const Value* v = Find(key);
-  if (v == nullptr || !v->is_number()) return fallback;
-  if (v->IsExactInt64()) return v->AsInt64();
-  return static_cast<int64_t>(v->AsDouble());
+  if (v == nullptr) return fallback;
+  return v->ToInt64().value_or(fallback);
 }
 
 bool Value::BoolOr(std::string_view key, bool fallback) const {

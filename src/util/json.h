@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -47,6 +48,12 @@ class Value {
   /// True when the number was an integer literal representable in int64.
   bool IsExactInt64() const { return exact_int_; }
   int64_t AsInt64() const { return int_; }
+  /// The number's value when it is an integer in int64 range: an exact
+  /// int64 literal, or a number such as 1e3 whose value is one. nullopt
+  /// for a non-number, a fraction (2.5), a non-finite value or a value
+  /// outside int64 (1e300, or 99999999999999999999, which parses as a
+  /// double).
+  std::optional<int64_t> ToInt64() const;
   const std::string& AsString() const { return string_; }
   const std::vector<Value>& AsArray() const { return array_; }
   const std::map<std::string, Value>& AsObject() const { return object_; }
@@ -59,6 +66,9 @@ class Value {
   /// type return a Status via the Get* forms below.
   std::string StringOr(std::string_view key, std::string fallback) const;
   double NumberOr(std::string_view key, double fallback) const;
+  /// ToInt64() of a number member; `fallback` when the member is absent,
+  /// not a number, or a number with no int64 value (never a cast of an
+  /// out-of-range double).
   int64_t IntOr(std::string_view key, int64_t fallback) const;
   bool BoolOr(std::string_view key, bool fallback) const;
 

@@ -50,6 +50,25 @@ TEST(JsonTest, ParsesScalarsExactly) {
   EXPECT_EQ(v->StringOr("s", ""), "a\nb");
   EXPECT_EQ(v->Find("missing"), nullptr);
   EXPECT_EQ(v->StringOr("missing", "fallback"), "fallback");
+
+  // IntOr takes any number whose value is an integer in int64 range and
+  // falls back, never casting, for every other number.
+  Result<json::Value> ints = json::Parse(
+      "{\"big\":1e300,\"huge\":99999999999999999999,\"frac\":2.5,"
+      "\"sci\":1e3,\"min\":-9223372036854775808,"
+      "\"edge\":9223372036854775808,\"neg\":-4e0,\"str\":\"7\"}");
+  ASSERT_TRUE(ints.ok()) << ints.status().ToString();
+  EXPECT_EQ(ints->IntOr("big", 11), 11);
+  EXPECT_EQ(ints->IntOr("huge", 11), 11);
+  EXPECT_FALSE(ints->Find("huge")->IsExactInt64());
+  EXPECT_EQ(ints->IntOr("frac", 11), 11);
+  EXPECT_EQ(ints->IntOr("sci", 11), 1000);
+  EXPECT_EQ(ints->IntOr("min", 11), INT64_MIN);
+  EXPECT_EQ(ints->IntOr("edge", 11), 11);  // 2^63, one past INT64_MAX
+  EXPECT_EQ(ints->IntOr("neg", 11), -4);
+  EXPECT_EQ(ints->IntOr("str", 11), 11);
+  EXPECT_FALSE(ints->Find("frac")->ToInt64().has_value());
+  EXPECT_EQ(ints->Find("sci")->ToInt64(), std::optional<int64_t>(1000));
 }
 
 TEST(JsonTest, SerializeRoundTripsSortedAndEscaped) {
@@ -259,6 +278,28 @@ TEST(ServiceTest, PingReportsSnapshotAndMalformedRequestsError) {
   EXPECT_EQ(stats.StringOr("status", ""), "ok");
   EXPECT_EQ(stats.IntOr("snapshot_generation", 0), 1);
   EXPECT_GE(stats.IntOr("requests_total", -1), 0);
+
+  // Integer fields whose number has no int64 value: out of range (1e300;
+  // 99999999999999999999 parses as a double) or fractional. Each must be
+  // an error naming the field, never an out-of-range float-to-int cast.
+  for (const char* field : {"seed", "threads", "memory_budget"}) {
+    for (const char* number : {"1e300", "99999999999999999999", "2.5"}) {
+      const std::string request = StrFormat(
+          "{\"type\":\"augment\",\"base\":\"sales\",\"target\":\"y\","
+          "\"%s\":%s}",
+          field, number);
+      json::Value reply = MustParse(server.HandleRequest(request));
+      EXPECT_EQ(reply.StringOr("status", ""), "error") << request;
+      EXPECT_NE(reply.StringOr("error", "").find(field), std::string::npos)
+          << reply.StringOr("error", "");
+    }
+  }
+  // The daemon keeps serving: a valid augment (a negative seed is a valid
+  // int64 and keeps its meaning) still succeeds.
+  json::Value after = MustParse(server.HandleRequest(
+      "{\"type\":\"augment\",\"base\":\"sales\",\"target\":\"y\","
+      "\"seed\":-3,\"threads\":1,\"memory_budget\":1e9}"));
+  EXPECT_EQ(after.StringOr("status", ""), "ok") << after.StringOr("error", "");
 }
 
 TEST(ServiceTest, ConcurrentAugmentsAreByteIdenticalToPipeline) {
