@@ -57,6 +57,22 @@ struct KernelResult {
   uint64_t checksum = 0;       // output fingerprint (guards dead-code elim)
 };
 
+// Times one call of `fn` (returning a checksum) into `result`, keeping
+// the best time seen so far.
+template <typename Fn>
+void TimeRep(Fn&& fn, KernelResult* result) {
+  double start = NowSeconds();
+  result->checksum = fn();
+  double elapsed = NowSeconds() - start;
+  if (elapsed < result->seconds) result->seconds = elapsed;
+}
+
+void SetThroughput(size_t items, KernelResult* result) {
+  if (result->seconds > 0.0) {
+    result->items_per_second = static_cast<double>(items) / result->seconds;
+  }
+}
+
 // Runs `fn` (returning a checksum) `reps` times and keeps the best time.
 template <typename Fn>
 KernelResult Measure(const std::string& name, size_t items, size_t reps,
@@ -64,15 +80,8 @@ KernelResult Measure(const std::string& name, size_t items, size_t reps,
   KernelResult result;
   result.name = name;
   result.seconds = 1e300;
-  for (size_t i = 0; i < reps; ++i) {
-    double start = NowSeconds();
-    result.checksum = fn();
-    double elapsed = NowSeconds() - start;
-    if (elapsed < result.seconds) result.seconds = elapsed;
-  }
-  if (result.seconds > 0.0) {
-    result.items_per_second = static_cast<double>(items) / result.seconds;
-  }
+  for (size_t i = 0; i < reps; ++i) TimeRep(fn, &result);
+  SetThroughput(items, &result);
   return result;
 }
 
@@ -406,21 +415,35 @@ std::vector<KernelResult> RunAll(const BenchOptions& options, bool smoke) {
   // dispatch level (<name>_scalar / <name>_avx2). Checksums must match
   // bit for bit — the pair is also a determinism check — and the
   // --assert-simd-floor flag (the perfsmoke lane) requires >=2x on every
-  // pair. The _avx2 rows are omitted on machines without AVX2. ---
+  // pair. The two levels alternate rep by rep and each keeps its best of
+  // 9 reps (1 with --smoke), so a slow stretch of a shared machine lands
+  // on both sides instead of on one. The _avx2 rows are omitted on
+  // machines without AVX2. ---
   {
     struct LevelRestore {
       simd::SimdLevel prev = simd::ActiveLevel();
       ~LevelRestore() { simd::SetLevel(prev); }
     } restore;
+    const size_t pair_reps = smoke ? 1 : 9;
     auto measure_pair = [&](const std::string& name, size_t items,
                             const std::function<uint64_t()>& fn) {
-      ARDA_CHECK(simd::SetLevel(simd::SimdLevel::kScalar));
-      results.push_back(Measure(name + "_scalar", items, reps, fn));
-      if (simd::Avx2Supported()) {
-        ARDA_CHECK(simd::SetLevel(simd::SimdLevel::kAvx2));
-        results.push_back(Measure(name + "_avx2", items, reps, fn));
-        ARDA_CHECK(results[results.size() - 1].checksum ==
-                   results[results.size() - 2].checksum);
+      const bool avx2 = simd::Avx2Supported();
+      KernelResult scalar_result{name + "_scalar", 1e300, 0.0, 0};
+      KernelResult avx2_result{name + "_avx2", 1e300, 0.0, 0};
+      for (size_t i = 0; i < pair_reps; ++i) {
+        ARDA_CHECK(simd::SetLevel(simd::SimdLevel::kScalar));
+        TimeRep(fn, &scalar_result);
+        if (avx2) {
+          ARDA_CHECK(simd::SetLevel(simd::SimdLevel::kAvx2));
+          TimeRep(fn, &avx2_result);
+          ARDA_CHECK(avx2_result.checksum == scalar_result.checksum);
+        }
+      }
+      SetThroughput(items, &scalar_result);
+      results.push_back(scalar_result);
+      if (avx2) {
+        SetThroughput(items, &avx2_result);
+        results.push_back(avx2_result);
       }
     };
     auto bits_of = [](double d) {
@@ -429,13 +452,15 @@ std::vector<KernelResult> RunAll(const BenchOptions& options, bool smoke) {
       return b;
     };
 
-    // Split-search gather + class-square scan (the decision
-    // tree's presorted classification inner loops). The scan calls
-    // ClassSquares once per row — with continuous features every value is
-    // a distinct candidate threshold, so that is the dense shape
-    // ScanThresholds runs — on a many-class target, over a node-sized
-    // slice (tree nodes shrink geometrically, so most scans are
-    // cache-resident).
+    // Split-search gather + class-square scan: the decision tree's
+    // per-node path gathers values and targets through a node's sorted
+    // ranks from the training view's rank tables (the shuffled index
+    // models that gather), then ScanThresholds reads the labels from the
+    // gathered targets and calls ClassSquares once per row — with
+    // continuous features every value is a distinct candidate threshold,
+    // so that is the dense shape — on a many-class target, over a
+    // node-sized slice (tree nodes shrink geometrically, so most scans
+    // are cache-resident).
     {
       const size_t n = smoke ? 50000 : 200000;
       const size_t num_classes = 64;
@@ -447,7 +472,7 @@ std::vector<KernelResult> RunAll(const BenchOptions& options, bool smoke) {
         y[i] = static_cast<double>(rng.UniformUint64(num_classes));
         idx[i] = static_cast<uint32_t>(i);
       }
-      // Shuffled gather order models the sorted-by-value row permutation.
+      // Shuffled gather order models the sorted ranks' table positions.
       for (size_t i = n - 1; i > 0; --i) {
         std::swap(idx[i], idx[rng.UniformUint64(i + 1)]);
       }
