@@ -26,10 +26,6 @@ ForestConfig Evaluator::DefaultForestConfig() const {
   return config;
 }
 
-std::unique_ptr<Model> Evaluator::MakeDefaultModel() const {
-  return std::make_unique<RandomForest>(DefaultForestConfig());
-}
-
 TrainingView Evaluator::TrainView(const std::vector<size_t>& features) const {
   std::call_once(train_view_->once, [&] {
     train_view_->view.emplace(train_.x, train_.y, train_.task);

@@ -61,9 +61,6 @@ class Evaluator {
   const Dataset& train() const { return train_; }
   const Dataset& test() const { return test_; }
 
-  /// Fresh instance of the fixed default estimator.
-  std::unique_ptr<Model> MakeDefaultModel() const;
-
  private:
   struct LazyView {
     std::once_flag once;
