@@ -46,8 +46,8 @@ class TrainingView {
   TrainingView Select(const std::vector<size_t>& features) const;
 
   /// Ranks every column of this view not ranked yet, one ParallelFor task
-  /// per column on at most `num_threads` threads (0 = hardware
-  /// concurrency). The ranks are the same for every thread count. Must
+  /// per block of 16 columns on at most `num_threads` threads (0 =
+  /// hardware concurrency). The ranks are the same for every thread count. Must
   /// run before any rank accessor below is read for a column.
   void EnsureRanked(size_t num_threads) const;
 
