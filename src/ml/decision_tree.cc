@@ -34,7 +34,7 @@ DecisionTree::DecisionTree(const TreeConfig& config) : config_(config) {}
 
 void DecisionTree::Fit(const la::Matrix& x, const std::vector<double>& y) {
   ARDA_CHECK_EQ(x.rows(), y.size());
-  TrainingView view(x, y, config_.task);
+  TrainingView view(x, y, config_.task, /*num_threads=*/1);
   std::vector<size_t> rows(x.rows());
   std::iota(rows.begin(), rows.end(), size_t{0});
   Fit(view, std::move(rows));
@@ -45,7 +45,6 @@ void DecisionTree::Fit(const TrainingView& view, std::vector<size_t> rows) {
   Stopwatch fit_watch;
   ARDA_CHECK(view.task() == config_.task);
   ARDA_CHECK_GT(rows.size(), 0u);
-  view.EnsureRanked(1);
   view_ = &view;
   nodes_.clear();
   num_features_ = view.cols();

@@ -58,8 +58,7 @@ class DecisionTree : public Model {
 
   /// Fits on `rows` of `view` (indices into it; repeats allowed, as in a
   /// bootstrap sample). Bit-identical to Fit on the matrix of those rows,
-  /// in that order, restricted to the view's columns. Ranks any column of
-  /// the view not ranked yet.
+  /// in that order, restricted to the view's columns.
   void Fit(const TrainingView& view, std::vector<size_t> rows);
 
   std::vector<double> Predict(const la::Matrix& x) const override;

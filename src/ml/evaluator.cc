@@ -27,8 +27,10 @@ ForestConfig Evaluator::DefaultForestConfig() const {
 }
 
 TrainingView Evaluator::TrainView(const std::vector<size_t>& features) const {
+  // Ranked on as many threads as the evaluator's forests fit on.
   std::call_once(train_view_->once, [&] {
-    train_view_->view.emplace(train_.x, train_.y, train_.task);
+    train_view_->view.emplace(train_.x, train_.y, train_.task,
+                              DefaultForestConfig().num_threads);
   });
   return train_view_->view->Select(features);
 }

@@ -26,10 +26,10 @@ namespace arda::ml {
 ///
 /// The evaluator's own forests (ScoreFeatures, ScoreAllFeatures and both
 /// FinalScore forests) fit on column subsets of one ranked TrainingView of
-/// the train split, built on first use; each column is ranked the first
-/// time a subset holds it. They never copy the train split. ScoreModel
-/// (and with it FinalScore's RBF SVM) fits on a copy of the subset's
-/// columns.
+/// the train split. The first score call copies the train split into the
+/// view and ranks every column; later calls make no copy of the train
+/// split. ScoreModel (and with it FinalScore's RBF SVM) fits on a copy of
+/// the subset's columns.
 class Evaluator {
  public:
   /// Freezes a stratified train/holdout split of `data`.

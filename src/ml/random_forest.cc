@@ -15,7 +15,7 @@ RandomForest::RandomForest(const ForestConfig& config) : config_(config) {}
 void RandomForest::Fit(const la::Matrix& x, const std::vector<double>& y) {
   trace::StageScope scope("forest.fit");
   ARDA_CHECK_EQ(x.rows(), y.size());
-  FitTrees(TrainingView(x, y, config_.task));
+  FitTrees(TrainingView(x, y, config_.task, config_.num_threads));
 }
 
 void RandomForest::Fit(const TrainingView& view) {
@@ -62,7 +62,6 @@ void RandomForest::FitTrees(const TrainingView& view) {
 
   // Every tree reads the one ranked view; its bootstrap rows are indices
   // into it, so no tree copies the matrix.
-  view.EnsureRanked(config_.num_threads);
   ParallelFor(config_.num_trees, config_.num_threads, [&](size_t t) {
     trees_[t].Fit(view, std::move(bootstrap_rows[t]));
   });

@@ -41,8 +41,8 @@ class RandomForest : public Model {
   /// Builds a TrainingView of (x, y) and fits on it.
   void Fit(const la::Matrix& x, const std::vector<double>& y) override;
 
-  /// Fits on every row of `view` (its columns, in its order), ranking any
-  /// column not ranked yet. Bit-identical to Fit on the view's matrix.
+  /// Fits on every row of `view` (its columns, in its order).
+  /// Bit-identical to Fit on the view's matrix.
   void Fit(const TrainingView& view);
   std::vector<double> Predict(const la::Matrix& x) const override;
 

@@ -61,7 +61,7 @@ void RadixSortByKey(std::vector<KeyedRow>* a, std::vector<KeyedRow>* tmp) {
 }  // namespace
 
 TrainingView::TrainingView(const la::Matrix& x, const std::vector<double>& y,
-                           TaskType task)
+                           TaskType task, size_t num_threads)
     : storage_(std::make_shared<Storage>()) {
   ARDA_CHECK_EQ(x.rows(), y.size());
   const size_t n = x.rows();
@@ -101,17 +101,52 @@ TrainingView::TrainingView(const la::Matrix& x, const std::vector<double>& y,
     keys[i] = {OrderKey(s.targets[i]), static_cast<uint32_t>(i)};
   }
   RadixSortByKey(&keys, &tmp);
-  s.target_order.resize(n);
-  s.target_rank.resize(n);
+  std::vector<uint32_t> target_order(n);
+  std::vector<uint32_t> target_rank(n);
   uint32_t rank = 0;
   for (size_t i = 0; i < n; ++i) {
     if (i > 0 && keys[i].first != keys[i - 1].first) ++rank;
-    s.target_order[i] = keys[i].second;
-    s.target_rank[keys[i].second] = rank;
+    target_order[i] = keys[i].second;
+    target_rank[keys[i].second] = rank;
   }
 
+  // Columns are independent, so the ranks do not depend on the thread
+  // count. One task ranks a block of columns, so its sort buffers are
+  // allocated once per block rather than once per column.
   s.ranked.resize(d);
-  s.ranked_once = std::make_unique<std::once_flag[]>(d);
+  constexpr size_t kBlock = 16;
+  ParallelFor((d + kBlock - 1) / kBlock, num_threads, [&](size_t block) {
+    std::vector<KeyedRow> sorted(n), sort_tmp;
+    std::vector<double> values(n), targets(n);
+    for (size_t f = block * kBlock; f < std::min(d, (block + 1) * kBlock);
+         ++f) {
+      const double* col = s.values.data() + f * n;
+      for (size_t i = 0; i < n; ++i) {
+        const uint32_t row = target_order[i];
+        sorted[i] = {OrderKey(col[row]), row};
+      }
+      RadixSortByKey(&sorted, &sort_tmp);
+
+      // Dense (value, target) ranks: a new rank starts wherever the value
+      // key or the target rank changes along the sorted order.
+      RankedColumn& out = s.ranked[f];
+      out.ranks.resize(n);
+      size_t num_ranks = 0;
+      for (size_t i = 0; i < n; ++i) {
+        const uint32_t row = sorted[i].second;
+        if (i == 0 || sorted[i].first != sorted[i - 1].first ||
+            target_rank[row] != target_rank[sorted[i - 1].second]) {
+          values[num_ranks] = col[row];
+          targets[num_ranks] = s.targets[row];
+          ++num_ranks;
+        }
+        out.ranks[row] = static_cast<uint32_t>(num_ranks - 1);
+      }
+      out.rank_values.assign(values.begin(), values.begin() + num_ranks);
+      out.rank_targets.assign(targets.begin(), targets.begin() + num_ranks);
+    }
+  });
+
   columns_.resize(d);
   for (size_t f = 0; f < d; ++f) columns_[f] = f;
 }
@@ -125,57 +160,6 @@ TrainingView TrainingView::Select(const std::vector<size_t>& features) const {
     out.columns_.push_back(columns_[f]);
   }
   return out;
-}
-
-void TrainingView::EnsureRanked(size_t num_threads) const {
-  // One task ranks a block of columns, so its sort buffers are allocated
-  // once per block rather than once per column.
-  constexpr size_t kBlock = 16;
-  const size_t num_blocks = (columns_.size() + kBlock - 1) / kBlock;
-  ParallelFor(num_blocks, num_threads, [&](size_t block) {
-    RankScratch scratch;
-    const size_t end = std::min(columns_.size(), (block + 1) * kBlock);
-    for (size_t f = block * kBlock; f < end; ++f) {
-      const size_t column = columns_[f];
-      std::call_once(storage_->ranked_once[column],
-                     [&] { RankColumn(column, &scratch); });
-    }
-  });
-}
-
-void TrainingView::RankColumn(size_t column, RankScratch* scratch) const {
-  Storage& s = *storage_;
-  const size_t n = s.rows;
-  const double* col = s.values.data() + column * n;
-  std::vector<KeyedRow>& keys = scratch->keys;
-  keys.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t row = s.target_order[i];
-    keys[i] = {OrderKey(col[row]), row};
-  }
-  RadixSortByKey(&keys, &scratch->tmp);
-
-  // Dense (value, target) ranks: a new rank starts wherever the value key
-  // or the target rank changes along the sorted order.
-  RankedColumn& out = s.ranked[column];
-  out.ranks.resize(n);
-  scratch->values.resize(n);
-  scratch->targets.resize(n);
-  size_t num_ranks = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t row = keys[i].second;
-    if (i == 0 || keys[i].first != keys[i - 1].first ||
-        s.target_rank[row] != s.target_rank[keys[i - 1].second]) {
-      scratch->values[num_ranks] = col[row];
-      scratch->targets[num_ranks] = s.targets[row];
-      ++num_ranks;
-    }
-    out.ranks[row] = static_cast<uint32_t>(num_ranks - 1);
-  }
-  out.rank_values.assign(scratch->values.begin(),
-                         scratch->values.begin() + num_ranks);
-  out.rank_targets.assign(scratch->targets.begin(),
-                          scratch->targets.begin() + num_ranks);
 }
 
 }  // namespace arda::ml

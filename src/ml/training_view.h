@@ -3,8 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <utility>
 #include <vector>
 
 #include "la/matrix.h"
@@ -31,25 +29,19 @@ namespace arda::ml {
 /// double, for classification (labels() holds the same labels as
 /// integers).
 ///
-/// A view is a cheap handle: Select() hands out column subsets that share
-/// the storage. Columns are ranked on first use, by EnsureRanked(), so an
-/// evaluator that scores a few top columns never ranks the rest. Ranking
-/// is idempotent and thread-safe; each column is ranked exactly once.
+/// A view is a cheap, immutable handle: Select() hands out column subsets
+/// that share the storage.
 class TrainingView {
  public:
-  /// Copies x column by column and orders the targets; ranks nothing yet.
+  /// Copies x column by column and ranks every column, one ParallelFor
+  /// task per block of 16 columns on at most `num_threads` threads (0 =
+  /// hardware concurrency). The ranks are the same for every thread count.
   TrainingView(const la::Matrix& x, const std::vector<double>& y,
-               TaskType task);
+               TaskType task, size_t num_threads);
 
   /// The view of columns `features` of this view, in that order, sharing
   /// its storage.
   TrainingView Select(const std::vector<size_t>& features) const;
-
-  /// Ranks every column of this view not ranked yet, one ParallelFor task
-  /// per block of 16 columns on at most `num_threads` threads (0 =
-  /// hardware concurrency). The ranks are the same for every thread count. Must
-  /// run before any rank accessor below is read for a column.
-  void EnsureRanked(size_t num_threads) const;
 
   size_t rows() const { return storage_->rows; }
   size_t cols() const { return columns_.size(); }
@@ -97,23 +89,10 @@ class TrainingView {
     simd::AlignedVector<double> values;  // column-major, rows per column
     std::vector<double> targets;
     std::vector<uint32_t> labels;
-    std::vector<uint32_t> target_order;  // rows by ascending target
-    std::vector<uint32_t> target_rank;   // dense rank of each row's target
     std::vector<RankedColumn> ranked;
-    std::unique_ptr<std::once_flag[]> ranked_once;
-  };
-
-  using KeyedRow = std::pair<uint64_t, uint32_t>;
-  /// Sort buffers reused across the columns one task ranks.
-  struct RankScratch {
-    std::vector<KeyedRow> keys;
-    std::vector<KeyedRow> tmp;
-    std::vector<double> values;
-    std::vector<double> targets;
   };
 
   TrainingView() = default;
-  void RankColumn(size_t column, RankScratch* scratch) const;
 
   std::shared_ptr<Storage> storage_;
   std::vector<size_t> columns_;  // storage column of each view column

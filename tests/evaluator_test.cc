@@ -110,8 +110,8 @@ TEST(EvaluatorTest, ForestOnSubsetViewEqualsForestOnSelectedFeatures) {
     Dataset data = MakeTiedData(task, 31);
     Evaluator evaluator(data, 0.25, 7);
     Rng rng(41);
-    // Seeded random subsets in random order; earlier subsets leave some
-    // columns ranked and others not, so lazy ranking is exercised too.
+    // Seeded random subsets in random order, all views of the one ranked
+    // view the evaluator builds on first use.
     for (size_t trial = 0; trial < 12; ++trial) {
       const size_t size = 1 + rng.UniformUint64(data.NumFeatures());
       std::vector<size_t> subset =

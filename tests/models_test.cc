@@ -494,12 +494,11 @@ TEST(TrainingViewTest, RanksMatchPairOrderOracle) {
                  ? kTargets[rng.UniformUint64(std::size(kTargets))]
                  : static_cast<double>(rng.UniformUint64(3));
     }
-    TrainingView full(x, y, task);
+    TrainingView full(x, y, task, /*num_threads=*/2);
     // A reordered subset sharing storage: view column c is matrix column
     // kColumns[c].
     const std::vector<size_t> kColumns = {2, 0, 1};
     TrainingView view = full.Select(kColumns);
-    view.EnsureRanked(2);
     ASSERT_EQ(view.cols(), 3u);
     ASSERT_EQ(view.rows(), n);
     for (size_t c = 0; c < view.cols(); ++c) {
@@ -539,7 +538,8 @@ TEST(TrainingViewTest, TreeOnViewRowsEqualsTreeOnSelectedRows) {
   la::Matrix xb = data.x.SelectRows(rows);
   std::vector<double> yb;
   for (size_t r : rows) yb.push_back(data.y[r]);
-  TrainingView view(data.x, data.y, TaskType::kRegression);
+  TrainingView view(data.x, data.y, TaskType::kRegression,
+                    /*num_threads=*/1);
   for (size_t max_features : {size_t{0}, size_t{1}}) {
     TreeConfig config;
     config.task = TaskType::kRegression;
