@@ -456,6 +456,43 @@ inline std::string GoldenSparseRegression(const ml::Dataset& data) {
   return out;
 }
 
+/// Regression data whose row count (301) and feature count (29) leave a
+/// vector tail in both solver passes, with one target of 1e155: that
+/// row's squared residual overflows, so its row scale is 0 and the
+/// gradient skips it. The final objective is inf; the norms stay finite.
+inline ml::Dataset GoldenOverflowRegressionData() {
+  Rng rng(109);
+  ml::Dataset data;
+  data.task = ml::TaskType::kRegression;
+  const size_t rows = 301, cols = 29;
+  data.x = la::Matrix(rows, cols);
+  data.y.resize(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < cols; ++c) data.x(r, c) = rng.Normal();
+    data.y[r] = data.x(r, 0) - 0.5 * data.x(r, 3) + rng.Normal(0.0, 0.1);
+  }
+  data.y[150] = 1e155;
+  return data;
+}
+
+/// Two-class data (two outputs, like school (S)) over 203 rows and 13
+/// features: neither count is a multiple of 4.
+inline ml::Dataset GoldenTwoClassData() {
+  Rng rng(113);
+  ml::Dataset data;
+  data.task = ml::TaskType::kClassification;
+  const size_t rows = 203, cols = 13;
+  data.x = la::Matrix(rows, cols);
+  data.y.resize(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    const double label = static_cast<double>(r % 2);
+    data.y[r] = label;
+    data.x(r, 0) = label + rng.Normal(0.0, 0.7);
+    for (size_t c = 1; c < cols; ++c) data.x(r, c) = rng.Normal();
+  }
+  return data;
+}
+
 /// Rank-deficient feature matrix for the moment-matched noise draw:
 /// d = 12 features over n = 40 rows, so the n x n covariance has rank
 /// below n and factors only after the diagonal jitter retry (the golden
@@ -485,6 +522,41 @@ inline std::string GoldenMomentMatchedNoise() {
   for (size_t draw = 0; draw < 2; ++draw) {
     la::Matrix noise = featsel::MakeNoiseFeatures(
         data, 7, featsel::NoiseKind::kMomentMatched, &rng);
+    for (double v : noise.data()) out += StrFormat("%a\n", v);
+    out += "end draw\n";
+  }
+  return out;
+}
+
+/// 37 rows over 10 features; row 5 is the constant 2.5, so its mean is
+/// exact and every centered value of that row is 0 (the covariance skips
+/// them).
+inline ml::Dataset GoldenConstantRowData() {
+  Rng rng(127);
+  ml::Dataset data;
+  data.task = ml::TaskType::kRegression;
+  const size_t rows = 37, cols = 10;
+  data.x = la::Matrix(rows, cols);
+  data.y.resize(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < cols; ++c) {
+      data.x(r, c) =
+          r == 5 ? 2.5 : rng.Normal(static_cast<double>(c % 3), 1.0);
+    }
+    data.y[r] = data.x(r, 0) + rng.Normal(0.0, 0.2);
+  }
+  return data;
+}
+
+/// Two consecutive 13-sample MakeNoiseFeatures(kMomentMatched) draws from
+/// the constant-row fixture, hexfloat.
+inline std::string GoldenConstantRowNoise() {
+  ml::Dataset data = GoldenConstantRowData();
+  Rng rng(131);
+  std::string out;
+  for (size_t draw = 0; draw < 2; ++draw) {
+    la::Matrix noise = featsel::MakeNoiseFeatures(
+        data, 13, featsel::NoiseKind::kMomentMatched, &rng);
     for (double v : noise.data()) out += StrFormat("%a\n", v);
     out += "end draw\n";
   }

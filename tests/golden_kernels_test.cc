@@ -7,11 +7,13 @@
 // evaluator goldens were captured from the split search that sorted
 // (value, y) pairs of doubles at every node. The RIFS goldens (l2,1 solver,
 // moment-matched noise, RunRifs selection) pin the solver and sampler
-// loops the same way. See tools/capture_goldens.cc for
+// loops the same way; the edge-case goldens add vector tails and both
+// skip paths. See tools/capture_goldens.cc for
 // how to regenerate them (only on an intentional output change).
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -20,6 +22,7 @@
 
 #include "simd/simd.h"
 #include "tests/golden_fixtures.h"
+#include "util/thread_pool.h"
 
 #ifndef ARDA_GOLDEN_DIR
 #error "ARDA_GOLDEN_DIR must be defined by the build"
@@ -44,6 +47,44 @@ std::string ReadGolden(const std::string& name) {
   }
   std::fclose(f);
   return content;
+}
+
+// The edge-case goldens: the overflowing regression fit and the
+// two-class fit leave a vector tail in both solver passes, and the first
+// also makes the gradient skip a row (its row scale is 0); the
+// constant-row draw makes the covariance skip zero centered values. They
+// are computed concurrently on the pool, as RunRifs runs its rankers, so
+// `num_threads` 1 and 8 must give the same bits.
+const char* const kEdgeCaseGoldenFiles[] = {
+    "sparse_regression_overflow.txt", "sparse_regression_two_class.txt",
+    "moment_matched_noise_constant_row.txt"};
+
+std::vector<std::string> EdgeCaseGoldens(size_t num_threads) {
+  std::vector<std::string> out(3);
+  ParallelFor(out.size(), num_threads, [&](size_t i) {
+    switch (i) {
+      case 0:
+        out[i] = golden::GoldenSparseRegression(
+            golden::GoldenOverflowRegressionData());
+        break;
+      case 1:
+        out[i] = golden::GoldenSparseRegression(golden::GoldenTwoClassData());
+        break;
+      default:
+        out[i] = golden::GoldenConstantRowNoise();
+        break;
+    }
+  });
+  return out;
+}
+
+void ExpectEdgeCaseGoldens(size_t num_threads) {
+  SCOPED_TRACE("threads=" + std::to_string(num_threads));
+  std::vector<std::string> got = EdgeCaseGoldens(num_threads);
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], ReadGolden(kEdgeCaseGoldenFiles[i]))
+        << kEdgeCaseGoldenFiles[i];
+  }
 }
 
 TEST(GoldenKernelsTest, ClassificationTreeBitIdentical) {
@@ -130,6 +171,26 @@ TEST(GoldenKernelsTest, MomentMatchedNoiseBitIdentical) {
             ReadGolden("moment_matched_noise.txt"));
 }
 
+TEST(GoldenKernelsTest, SolverAndNoiseEdgeCasesBitIdentical) {
+  // The fixtures must reach the paths they pin: an infinite objective
+  // (one row's squared residual overflows) with finite norms, and a
+  // covariance row that stays all zero because every centered value of
+  // the constant row is skipped.
+  ml::Dataset overflow = golden::GoldenOverflowRegressionData();
+  ml::SparseRegressionConfig config;
+  ml::L21SparseRegression model(config);
+  model.Fit(overflow.x, overflow.y);
+  EXPECT_TRUE(std::isinf(model.final_objective()));
+  for (double norm : model.FeatureNorms()) EXPECT_TRUE(std::isfinite(norm));
+  ml::Dataset constant = golden::GoldenConstantRowData();
+  la::FeatureMoments moments = la::ComputeFeatureMoments(constant.x);
+  for (size_t j = 0; j < moments.covariance.cols(); ++j) {
+    EXPECT_EQ(moments.covariance(5, j), 0.0);
+  }
+  ExpectEdgeCaseGoldens(1);
+  ExpectEdgeCaseGoldens(8);
+}
+
 TEST(GoldenKernelsTest, RifsSelectionBitIdentical) {
   EXPECT_EQ(golden::GoldenRifsSelection(1), ReadGolden("rifs_selection.txt"));
   EXPECT_EQ(golden::GoldenRifsSelection(4), ReadGolden("rifs_selection.txt"));
@@ -185,6 +246,8 @@ TEST(GoldenKernelsTest, GoldensAreSimdLevelInvariant) {
               ReadGolden("moment_matched_noise.txt"));
     EXPECT_EQ(golden::GoldenRifsSelection(1),
               ReadGolden("rifs_selection.txt"));
+    ExpectEdgeCaseGoldens(1);
+    ExpectEdgeCaseGoldens(8);
   }
   simd::SetLevel(prev);
 }

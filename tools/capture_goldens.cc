@@ -67,8 +67,15 @@ int main(int argc, char** argv) {
   WriteFile(dir, "sparse_regression_classification.txt",
             golden::GoldenSparseRegression(
                 golden::GoldenWideClassificationData()));
+  WriteFile(dir, "sparse_regression_overflow.txt",
+            golden::GoldenSparseRegression(
+                golden::GoldenOverflowRegressionData()));
+  WriteFile(dir, "sparse_regression_two_class.txt",
+            golden::GoldenSparseRegression(golden::GoldenTwoClassData()));
   WriteFile(dir, "moment_matched_noise.txt",
             golden::GoldenMomentMatchedNoise());
+  WriteFile(dir, "moment_matched_noise_constant_row.txt",
+            golden::GoldenConstantRowNoise());
   WriteFile(dir, "rifs_selection.txt", golden::GoldenRifsSelection(1));
   return 0;
 }
