@@ -550,6 +550,34 @@ std::vector<KernelResult> RunAll(const BenchOptions& options, bool smoke) {
         return h;
       });
     }
+
+    // Blocked multiply-add — the l2,1 solver's residual pass X W at
+    // pickup's shape: 278 feature rows of 840 values, one output, the
+    // residual rebuilt from zero on every pass as each solver evaluation
+    // does.
+    {
+      const size_t n = 840;
+      const size_t k = 278;
+      const size_t passes = smoke ? 20 : 200;
+      Rng rng(7707);
+      simd::AlignedVector<double> x(k * n);
+      for (double& v : x) v = rng.Normal();
+      std::vector<const double*> rows(k);
+      for (size_t q = 0; q < k; ++q) rows[q] = x.data() + q * n;
+      std::vector<double> w(k);
+      for (double& v : w) v = rng.Normal();
+      std::vector<double> residual(n);
+      measure_pair("simd_multiply_add", passes * n * k, [&]() -> uint64_t {
+        uint64_t h = 0;
+        for (size_t p = 0; p < passes; ++p) {
+          std::fill(residual.begin(), residual.end(), 0.0);
+          simd::MultiplyAddRows(rows.data(), w.data(), k, residual.data(),
+                                n);
+          h ^= bits_of(residual[p % n]) + p;
+        }
+        return h;
+      });
+    }
   }
 
   return results;
@@ -557,7 +585,7 @@ std::vector<KernelResult> RunAll(const BenchOptions& options, bool smoke) {
 
 // Names of the scalar-vs-SIMD pairs checked by --assert-simd-floor.
 constexpr const char* kSimdPairs[] = {"simd_split_scan", "simd_distance",
-                                      "simd_decode"};
+                                      "simd_decode", "simd_multiply_add"};
 
 // Returns false (after printing per-pair speedups) unless every one of
 // the kSimdPairs reaches `floor` on this machine.
@@ -824,7 +852,7 @@ int main(int argc, char** argv) {
     // overhead (tools/run_bench.sh --trace-overhead diffs on vs. off) and
     // doubles as a determinism check since checksums must not move.
     if (std::string(argv[i]) == "--trace") tracing = true;
-    // Fails (exit 1) unless all 3 scalar-vs-SIMD pairs reach 2x; no-op
+    // Fails (exit 1) unless all 4 scalar-vs-SIMD pairs reach 2x; no-op
     // on machines without AVX2 (there is nothing to compare).
     if (std::string(argv[i]) == "--assert-simd-floor") {
       assert_simd_floor = true;

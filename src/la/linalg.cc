@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "simd/simd.h"
 #include "util/fault.h"
 
 namespace arda::la {
@@ -151,23 +152,28 @@ FeatureMoments ComputeFeatureMoments(const Matrix& x) {
       for (size_t c = 0; c < d; ++c) sum += row[c];
       moments.mean[r] = sum / static_cast<double>(d);
     }
-    // Centered observations, one contiguous row per feature, so the upper
-    // triangle of sum_c (x_c - mu)(x_c - mu)^T accumulates as one axpy
-    // per (row i, feature c), vectorized over j. Each entry sums its
-    // terms in feature order.
+    // Centered observations, one contiguous row per feature, so row i of
+    // the upper triangle of sum_c (x_c - mu)(x_c - mu)^T is one
+    // simd::MultiplyAddRows into crow[i..n): the features c with a
+    // nonzero di = (x_c - mu)_i, in feature order, with coefficients di.
+    // Each entry sums its terms in feature order.
     Matrix centered(d, n);
     for (size_t r = 0; r < n; ++r) {
       const double* row = x.RowPtr(r);
       for (size_t c = 0; c < d; ++c) centered(c, r) = row[c] - moments.mean[r];
     }
+    std::vector<const double*> obs_rows(d);
+    std::vector<double> obs_coef(d);
     for (size_t i = 0; i < n; ++i) {
-      double* crow = moments.covariance.RowPtr(i);
+      size_t k = 0;
       for (size_t c = 0; c < d; ++c) {
         const double* obs = centered.RowPtr(c);
-        const double di = obs[i];
-        if (di == 0.0) continue;
-        for (size_t j = i; j < n; ++j) crow[j] += di * obs[j];
+        if (obs[i] == 0.0) continue;
+        obs_rows[k] = obs + i;
+        obs_coef[k++] = obs[i];
       }
+      simd::MultiplyAddRows(obs_rows.data(), obs_coef.data(), k,
+                            moments.covariance.RowPtr(i) + i, n - i);
     }
     const double inv_d = 1.0 / static_cast<double>(d);
     for (size_t i = 0; i < n; ++i) {
@@ -210,21 +216,20 @@ Matrix SampleMultivariateNormal(const FeatureMoments& moments, size_t count,
   }
   ARDA_CHECK_EQ(moments.factor.rows(), n);
   // z(i, s) is coordinate i of sample s, drawn sample by sample. Row i of
-  // the result is then mu_i + sum_{k <= i} L(i, k) z(k, .): one axpy per
-  // k, vectorized over the samples, each sum in increasing k.
+  // the result is then mu_i + sum_{k <= i} L(i, k) z(k, .): one
+  // simd::MultiplyAddRows over rows 0..i of z, with lanes across the
+  // samples, each sum in increasing k.
   Matrix z(n, count);
   for (size_t s = 0; s < count; ++s) {
     for (size_t i = 0; i < n; ++i) z(i, s) = rng->Normal();
   }
+  std::vector<const double*> z_rows(n);
+  for (size_t k = 0; k < n; ++k) z_rows[k] = z.RowPtr(k);
   for (size_t i = 0; i < n; ++i) {
     double* out = samples.RowPtr(i);
     std::fill(out, out + count, moments.mean[i]);
-    const double* lrow = moments.factor.RowPtr(i);
-    for (size_t k = 0; k <= i; ++k) {
-      const double lik = lrow[k];
-      const double* zrow = z.RowPtr(k);
-      for (size_t s = 0; s < count; ++s) out[s] += lik * zrow[s];
-    }
+    simd::MultiplyAddRows(z_rows.data(), moments.factor.RowPtr(i), i + 1,
+                          out, count);
   }
   return samples;
 }

@@ -167,6 +167,11 @@ void DecodeU64LeToInt64(const char* src, size_t n, int64_t* dst) {
   ARDA_SIMD_DISPATCH(DecodeU64LeToInt64, src, n, dst);
 }
 
+void MultiplyAddRows(const double* const* rows, const double* coef,
+                     size_t k, double* y, size_t n) {
+  ARDA_SIMD_DISPATCH(MultiplyAddRows, rows, coef, k, y, n);
+}
+
 #undef ARDA_SIMD_DISPATCH
 
 }  // namespace arda::simd

@@ -20,10 +20,11 @@
 /// Floating-point kernels either perform no accumulation (gathers,
 /// decodes), accumulate values that are exactly representable whole
 /// numbers so any association order yields the same bits (ClassSquares),
-/// or pin one lane-structured accumulation order that both paths
-/// implement (SquaredDistance). No kernel uses FMA: the AVX2 translation
-/// unit is compiled with `-ffp-contract=off` so `a*b + c` never fuses and
-/// always matches the scalar fallback.
+/// pin one lane-structured accumulation order that both paths implement
+/// (SquaredDistance), or pin the order per output element and run the
+/// lanes only across elements (MultiplyAddRows). No kernel uses FMA: the
+/// kernel translation units are compiled with `-ffp-contract=off` so
+/// `a*b + c` never fuses and always matches the scalar fallback.
 
 namespace arda::simd {
 
@@ -133,6 +134,23 @@ void DecodeU64LeToDouble(const char* src, size_t n, double* dst);
 
 /// dst[i] = static_cast<int64_t>(little-endian u64 at src + 8*i).
 void DecodeU64LeToInt64(const char* src, size_t n, int64_t* dst);
+
+// ---------------------------------------------------------------------------
+// Kernel 5: blocked multiply-add (the l2,1 solver, the RIFS noise fit).
+// ---------------------------------------------------------------------------
+
+/// For q = 0..k-1 in order: y[i] += rows[q][i] * coef[q], for every i < n.
+/// Pinned per-element order: each y[i] adds its k products one at a time
+/// in q order, each product rounded before its add (never FMA), and the
+/// lanes run only across i. So every y[i] has the bits of the plain
+/// sequential loop at both dispatch levels. Both levels walk the rows in
+/// blocks, keeping a stretch of y in registers across a block; blocking
+/// only changes when y is loaded and stored. NaN inputs propagate; which
+/// payload survives when two different NaNs meet in one multiply or add
+/// is left to the hardware and the compiler's operand order, as in any C
+/// loop. `y` must not overlap the rows.
+void MultiplyAddRows(const double* const* rows, const double* coef,
+                     size_t k, double* y, size_t n);
 
 }  // namespace arda::simd
 

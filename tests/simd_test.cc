@@ -6,6 +6,7 @@
 #include "simd/simd.h"
 
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -303,6 +304,91 @@ TEST(SimdKernelsTest, DecodeU64LeMatchesScalar) {
         }
       }
     });
+  }
+}
+
+double DoubleFromBits(uint64_t bits) {
+  double d;
+  std::memcpy(&d, &bits, sizeof d);
+  return d;
+}
+
+// MultiplyAddRows inputs. With `nan_bits` == 0 the values mix normals with
+// -0.0, +0.0, +-inf, subnormals and 1e300 (whose products overflow), so
+// the only NaNs are the ones inf * 0 and inf - inf make, all the same
+// default NaN. Otherwise one NaN pattern is mixed in with no infinities or
+// overflow, so every NaN an output can hold is that input's, quieted.
+// Either way the bits of a NaN result do not depend on which operand the
+// hardware takes a payload from (see simd.h).
+double SpecialValue(uint64_t* state, uint64_t nan_bits) {
+  const uint64_t pick = NextRand(state) % 12;
+  const double normal =
+      static_cast<double>(static_cast<int64_t>(NextRand(state) % 2000001) -
+                          1000000) /
+      65537.0;
+  switch (pick) {
+    case 0:
+      return -0.0;
+    case 1:
+      return 0.0;
+    case 2:
+      return DoubleFromBits(0x0000000000000003ull);  // subnormal
+    case 3:
+      return -DoubleFromBits(0x000fffffffffff00ull);  // subnormal
+    case 4:
+      return nan_bits != 0 ? DoubleFromBits(nan_bits)
+                           : std::numeric_limits<double>::infinity();
+    case 5:
+      return nan_bits != 0 ? normal : -std::numeric_limits<double>::infinity();
+    case 6:
+      return nan_bits != 0 ? normal : 1e300;
+    default:
+      return normal;
+  }
+}
+
+TEST(SimdKernelsTest, MultiplyAddRowsBitIdenticalAcrossLevels) {
+  // k sweeps 0..9 and the kernel's block boundaries; n sweeps kSizes; y
+  // and every row start off the 32-byte boundary.
+  const size_t kRowCounts[] = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 33};
+  const uint64_t kNanBits[] = {0, 0x7ff8000000000001ull,
+                               0xfff80000deadbeefull,
+                               0x7ff4000000000abcull};  // signaling
+  for (uint64_t nan_bits : kNanBits) {
+    for (size_t k : kRowCounts) {
+      for (size_t n : kSizes) {
+        uint64_t state = 0xa11ce + 131 * n + k + nan_bits;
+        std::vector<AlignedVector<double>> storage(k);
+        std::vector<const double*> rows(k);
+        for (size_t q = 0; q < k; ++q) {
+          const size_t offset = 1 + q % 3;
+          storage[q].resize(n + offset);
+          for (double& v : storage[q]) v = SpecialValue(&state, nan_bits);
+          rows[q] = storage[q].data() + offset;
+        }
+        std::vector<double> coef(k);
+        for (double& v : coef) v = SpecialValue(&state, nan_bits);
+        AlignedVector<double> y_init(n + 1);
+        for (double& v : y_init) v = SpecialValue(&state, nan_bits);
+
+        // The plain sequential loop the contract names.
+        std::vector<double> expected(y_init.begin() + 1, y_init.end());
+        for (size_t q = 0; q < k; ++q) {
+          for (size_t i = 0; i < n; ++i) expected[i] += rows[q][i] * coef[q];
+        }
+        ForEachLevel([&](SimdLevel level) {
+          AlignedVector<double> y = y_init;
+          MultiplyAddRows(rows.data(), coef.data(), k, y.data() + 1, n);
+          if (n > 0) {
+            EXPECT_EQ(std::memcmp(y.data() + 1, expected.data(),
+                                  n * sizeof(double)),
+                      0)
+                << LevelName(level) << " k=" << k << " n=" << n
+                << " nan_bits=" << std::hex << nan_bits;
+          }
+        });
+      }
+    }
   }
 }
 
