@@ -180,13 +180,28 @@ Result<ml::Dataset> BuildDataset(const df::DataFrame& frame,
       }
       double v = target.NumericAt(r);
       if (task == ml::TaskType::kClassification) {
-        v = std::lround(v);
+        if (!std::isfinite(v)) {
+          return Status::InvalidArgument(
+              "classification label is not finite in column " +
+              target_column);
+        }
+        v = std::round(v);
         if (v < 0) {
           return Status::InvalidArgument(
               "classification labels must be non-negative");
         }
       }
       data.y.push_back(v);
+    }
+    if (task == ml::TaskType::kClassification) {
+      // Models use labels as dense class indices (a label of 1e12 would
+      // size a 1e12-class table), so map them to 0..k-1 in ascending
+      // order. Labels already 0..k-1 map to themselves.
+      std::map<double, double> ids;
+      for (double v : data.y) ids.emplace(v, 0.0);
+      double next = 0.0;
+      for (auto& [label, id] : ids) id = next++;
+      for (double& v : data.y) v = ids[v];
     }
   } else {
     if (task == ml::TaskType::kRegression) {

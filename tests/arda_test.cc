@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "core/arda.h"
 #include "data/generators.h"
 
@@ -83,6 +87,43 @@ TEST(BuildDatasetTest, StringClassificationTargetMapsToIds) {
       BuildDataset(frame, "label", ml::TaskType::kClassification);
   ASSERT_TRUE(data.ok());
   EXPECT_EQ(data->y, (std::vector<double>{0.0, 1.0, 0.0}));
+}
+
+TEST(BuildDatasetTest, NumericClassificationLabelsMapToDenseIds) {
+  df::DataFrame frame;
+  ASSERT_TRUE(frame.AddColumn(df::Column::Double("x", {1, 2, 3})).ok());
+  ASSERT_TRUE(
+      frame.AddColumn(df::Column::Double("label", {0, 1e12, 0})).ok());
+  Result<ml::Dataset> data =
+      BuildDataset(frame, "label", ml::TaskType::kClassification);
+  ASSERT_TRUE(data.ok());
+  EXPECT_EQ(data->y, (std::vector<double>{0.0, 1.0, 0.0}));
+
+  // Labels that are already 0..k-1 after rounding keep their values.
+  df::DataFrame dense;
+  ASSERT_TRUE(dense.AddColumn(df::Column::Double("x", {1, 2, 3, 4})).ok());
+  ASSERT_TRUE(
+      dense.AddColumn(df::Column::Double("label", {2, 0.4, 1, 1.6})).ok());
+  data = BuildDataset(dense, "label", ml::TaskType::kClassification);
+  ASSERT_TRUE(data.ok());
+  EXPECT_EQ(data->y, (std::vector<double>{2.0, 0.0, 1.0, 2.0}));
+}
+
+TEST(BuildDatasetTest, RejectsNonFiniteClassificationLabels) {
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    df::DataFrame frame;
+    ASSERT_TRUE(frame.AddColumn(df::Column::Double("x", {1, 2, 3})).ok());
+    ASSERT_TRUE(
+        frame.AddColumn(df::Column::Double("label", {0, bad, 1})).ok());
+    Result<ml::Dataset> data =
+        BuildDataset(frame, "label", ml::TaskType::kClassification);
+    ASSERT_FALSE(data.ok()) << bad;
+    EXPECT_EQ(data.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(data.status().message().find("label"), std::string::npos)
+        << data.status().message();
+  }
 }
 
 TEST(BuildDatasetTest, RejectsBadTargets) {
@@ -239,6 +280,27 @@ TEST(ArdaTest, CoresetShrinksRows) {
   Result<ArdaReport> report = arda.Run(world.task);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->augmented.NumRows(), 120u);
+}
+
+TEST(ArdaTest, RunsOnHugeNumericClassLabel) {
+  // A 0/1 label column with one row set to 1e12: the labels become class
+  // ids {0, 1, 2}, so no model sizes a table by the label's value.
+  TinyWorld world = MakeTinyWorld(200);
+  const df::Column& y = world.task.base.col("y");
+  std::vector<double> label(y.size());
+  for (size_t r = 0; r < label.size(); ++r) {
+    label[r] = y.NumericAt(r) > 0.0 ? 1.0 : 0.0;
+  }
+  label[7] = 1e12;
+  ASSERT_TRUE(world.task.base.AddColumn(df::Column::Double("label", label))
+                  .ok());
+  world.task.target_column = "label";
+  world.task.task = ml::TaskType::kClassification;
+  ArdaConfig config;
+  config.rifs.num_rounds = 3;
+  Result<ArdaReport> report = Arda(config).Run(world.task);
+  ASSERT_TRUE(report.ok()) << report.status().message();
+  EXPECT_TRUE(report->augmented.HasColumn("label"));
 }
 
 TEST(ArdaTest, ImprovementPercentSigns) {
