@@ -47,8 +47,8 @@ inline uint64_t Mix64One(uint64_t value) {
 }
 
 // MultiplyAddRows makes one pass over y per block of this many rows.
-// Fixed by measurement on the l2,1 solver's inputs (16 beat 8, 12, 24 and
-// 32); more rows are more concurrent streams than the prefetcher follows.
+// Fixed by measurement on the l2,1 solver's inputs: 16 beat 8, 12, 24
+// and 32 (DESIGN.md "RIFS without repeated work").
 inline constexpr size_t kMultiplyAddBlock = 16;
 
 inline constexpr uint64_t kFnvOffset = 1469598103934665603ull;

@@ -16,6 +16,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <iterator>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -60,21 +62,18 @@ const char* const kEdgeCaseGoldenFiles[] = {
     "moment_matched_noise_constant_row.txt"};
 
 std::vector<std::string> EdgeCaseGoldens(size_t num_threads) {
-  std::vector<std::string> out(3);
-  ParallelFor(out.size(), num_threads, [&](size_t i) {
-    switch (i) {
-      case 0:
-        out[i] = golden::GoldenSparseRegression(
+  const std::function<std::string()> fixtures[] = {
+      [] {
+        return golden::GoldenSparseRegression(
             golden::GoldenOverflowRegressionData());
-        break;
-      case 1:
-        out[i] = golden::GoldenSparseRegression(golden::GoldenTwoClassData());
-        break;
-      default:
-        out[i] = golden::GoldenConstantRowNoise();
-        break;
-    }
-  });
+      },
+      [] {
+        return golden::GoldenSparseRegression(golden::GoldenTwoClassData());
+      },
+      golden::GoldenConstantRowNoise};
+  std::vector<std::string> out(std::size(fixtures));
+  ParallelFor(out.size(), num_threads,
+              [&](size_t i) { out[i] = fixtures[i](); });
   return out;
 }
 
